@@ -11,7 +11,7 @@ what a node capacity is taken to mean.
 
 from plantflow import datasets
 from plantflow.flow import build_layered_graph, max_processable_flow
-from plantflow.model import EDGE_MAX, EDGE_MIN, STATION_THROUGHPUT, apply_scenario
+from plantflow.model import EDGE_MAX, EDGE_MIN, STATION_THROUGHPUT
 
 doc = datasets.builtin("didactic")
 net, model = doc.network, doc.model
@@ -53,13 +53,12 @@ print("which is why station-throughput is the default.")
 print()
 
 print("=== how the default is actually computed ===")
-caps = apply_scenario(net, model, model.all_up(), STATION_THROUGHPUT)
-g = build_layered_graph(net, caps)
+g = build_layered_graph(net, model, STATION_THROUGHPUT)
 kinds = {}
-for arc in g.arcs:
-    kinds[arc.kind] = kinds.get(arc.kind, 0) + 1
+for kind in g.kinds:
+    kinds[kind] = kinds.get(kind, 0) + 1
 print(f"  layered graph: {g.num_vertices} vertices, "
-      f"{len(g.arcs)} arcs {kinds}")
+      f"{len(g.kinds)} arcs {kinds}")
 print("  each transition stage gets its own node layer; a station's")
 print("  capacity sits on the single arc bridging its two layers, so a")
 print("  max-flow solver enforces it exactly.")

@@ -12,12 +12,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import datasets, faulttree, reliability
 from .errors import PlantDataError, PlantflowError
-from .flow import BACKENDS, LP_BACKEND, MAXFLOW_BACKEND, max_processable_flow
-from .model import MODES, STATION_THROUGHPUT
+from .flow import BACKENDS, MAXFLOW_BACKEND, max_processable_flow
+from .model import MODES
 
 _TABLE_EDGE_CAP = 50  # human tables truncate flow listings past this; --full lifts it
 
@@ -38,8 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--target", type=float, default=None,
                         help="target flow (default: the dataset's)")
-    common.add_argument("--mode", choices=MODES, default=STATION_THROUGHPUT,
-                        help="capacity semantics (default: %(default)s)")
+    common.add_argument("--mode", choices=MODES, default=None,
+                        help="capacity semantics (default: the dataset's)")
     common.add_argument("--backend", choices=BACKENDS, default=MAXFLOW_BACKEND,
                         help="solver backend (default: %(default)s)")
 
@@ -94,6 +95,10 @@ def _target(args, doc) -> float:
     return args.target if args.target is not None else doc.defaults.target_flow
 
 
+def _mode(args, doc) -> str:
+    return args.mode if args.mode is not None else doc.defaults.mode
+
+
 def _emit(args, text: str) -> None:
     if args.out is None:
         sys.stdout.write(text)
@@ -121,7 +126,7 @@ def cmd_maxflow(args) -> int:
             raise PlantDataError(f"--fail: unknown component {rv_id!r}")
         assignment[rv_id] = 0
     sol = max_processable_flow(net, model, assignment,
-                               mode=args.mode, backend=args.backend)
+                               mode=_mode(args, doc), backend=args.backend)
     if args.format == "json":
         _emit(args, json.dumps({
             "command": "maxflow",
@@ -164,7 +169,7 @@ def _query(args, doc) -> reliability.ReliabilityQuery:
         raise PlantDataError("--workers: must be at least 1")
     return reliability.ReliabilityQuery(
         target_flow=_target(args, doc),
-        mode=args.mode,
+        mode=_mode(args, doc),
         backend=args.backend,
         samples=args.samples,
         seed=args.seed,
@@ -335,6 +340,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not math.isfinite(getattr(args, "target", None) or 0.0):
+        parser.error(f"argument --target: expected a finite number, got {args.target}")
     try:
         return _COMMANDS[args.command](args)
     except PlantDataError as exc:

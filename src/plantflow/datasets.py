@@ -10,6 +10,7 @@ a single JSON document schema and read back losslessly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import DataFormatError
@@ -370,6 +371,8 @@ class _Reader:
         if kind is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise DataFormatError(f"{self.path}.{key}: expected a number, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DataFormatError(f"{self.path}.{key}: expected a finite number, got {value!r}")
             return float(value)
         if kind is int:
             if isinstance(value, bool) or not isinstance(value, int):

@@ -13,9 +13,11 @@ Two interchangeable backends compute the same quantity:
   sink arcs. A station's capacity bounds its arc; Dinic's algorithm does the
   rest.
 
-Both backends honour the three node-capacity semantics from
-model.apply_scenario. Agreement between them to 1e-9 is part of the test
-suite; if they ever split, trust neither and look for a modelling bug.
+Both backends honour the three node-capacity semantics described at
+model.apply_scenario, each with its own scenario fold: the LP reads
+apply_scenario, max flow reads LayeredGraph.capacities. Agreement between
+them to 1e-9 is part of the test suite; if they ever split, trust neither
+and look for a modelling bug.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from .model import (
     EffectiveCapacities,
     PlantNetwork,
     apply_scenario,
+    asset_owners,
+    assignment_states,
+    check_mode,
 )
 
 LP_BACKEND = "lp"
@@ -127,41 +132,57 @@ def build_flow_lp(net: PlantNetwork, caps: EffectiveCapacities) -> FlowProgram:
 # Layered-graph reduction
 
 
-@dataclass(frozen=True)
-class LayeredArc:
-    tail: int
-    head: int
-    capacity: float
-    kind: str  # "edge" | "source" | "bridge" | "sink"
-    ref: int | str  # edge id for edge arcs, station node otherwise
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayeredGraph:
+    """The layered max-flow graph of one (network, model, mode), built once.
+
+    Arcs are the network's edges in listing order, then one source, bridge or
+    sink arc per station in stage order. arc_rv[a] is the RV whose failure
+    zeroes arc a, or -1 when no RV owns it. In the edge-min and edge-max modes
+    each edge's bound also folds in its end-node capacities, end_caps[0]
+    (tail) and end_caps[1] (head), owned by end_rvs; the station arcs then
+    get a capacity larger than any achievable flow, standing in for
+    "unbounded" without infinities.
+    """
+
     num_vertices: int
     source: int
     sink: int
-    arcs: tuple[LayeredArc, ...]
+    mode: str
+    tails: np.ndarray
+    heads: np.ndarray
+    nominal: np.ndarray
+    arc_rv: np.ndarray
+    kinds: tuple[str, ...]  # "edge" | "source" | "bridge" | "sink"
+    refs: tuple[int | str, ...]  # edge id for edge arcs, station node otherwise
+    end_caps: np.ndarray
+    end_rvs: np.ndarray
 
-
-def _station_arc_cap(caps: EffectiveCapacities, station: int, huge: float) -> float:
-    if caps.mode == STATION_THROUGHPUT:
-        return caps.station_cap[station]
-    return huge
+    def capacities(self, states) -> np.ndarray:
+        """Arc capacities under a 0/1 state vector ordered like the model."""
+        ext = np.ones(len(states) + 1)  # ext[-1] = 1 serves arcs no RV owns
+        ext[:-1] = states
+        caps = self.nominal * ext[self.arc_rv]
+        if self.mode != STATION_THROUGHPUT:
+            fold = np.minimum if self.mode == EDGE_MIN else np.maximum
+            ends = self.end_caps * ext[self.end_rvs]
+            m = ends.shape[1]
+            caps[:m] = fold(caps[:m], fold(ends[0], ends[1]))
+        return caps
 
 
 def build_layered_graph(
     net: PlantNetwork,
-    caps: EffectiveCapacities,
-    prune_zero: bool = False,
+    model: ComponentModel,
+    mode: str = STATION_THROUGHPUT,
 ) -> LayeredGraph:
     """One vertex per (node, stage label), plus a super source and sink.
 
-    Outside station-throughput mode the station arcs get a capacity larger
-    than any achievable flow, standing in for "unbounded" without infinities.
-    prune_zero drops arcs with zero capacity; that never changes the maximum
-    flow and keeps searches on heavily failed scenarios short.
+    Raises PlantDataError for an unknown mode and MappingError when an RV
+    references an asset the network does not have or another RV governs.
     """
+    check_mode(mode)
+    owner = asset_owners(net, model)
     n, layers = net.num_nodes, net.num_stages - 1
     source = layers * n
     sink = source + 1
@@ -169,24 +190,43 @@ def build_layered_graph(
     def vertex(node: int, label: int) -> int:
         return (label - 1) * n + node - 1
 
-    huge = 1.0 + float(sum(caps.edge_cap.values()))
-    arcs: list[LayeredArc] = []
-    for e in net.edges:
-        arcs.append(LayeredArc(vertex(e.tail, e.stage), vertex(e.head, e.stage),
-                               caps.edge_cap[e.edge_id], "edge", e.edge_id))
+    node_cap = [0.0] + [net.resolved_node_capacity(v) for v in range(1, n + 1)]
+    edges = net.edges
+    tails = [vertex(e.tail, e.stage) for e in edges]
+    heads = [vertex(e.head, e.stage) for e in edges]
+    nominal = [e.capacity for e in edges]
+    arc_rv = [owner.get(e.edge_id, -1) for e in edges]
+    kinds = ["edge"] * len(edges)
+    refs: list[int | str] = [e.edge_id for e in edges]
+    end_caps = np.array([[node_cap[e.tail] for e in edges], [node_cap[e.head] for e in edges]])
+    end_rvs = np.array([[owner.get(e.tail, -1) for e in edges],
+                        [owner.get(e.head, -1) for e in edges]], dtype=np.int64)
+
+    bound_stations = mode == STATION_THROUGHPUT
+    huge = 1.0 + float(np.sum(np.maximum(nominal, np.maximum(end_caps[0], end_caps[1]))))
     last = net.num_stages
     for stage, members in enumerate(net.stations, start=1):
         for s in members:
-            cap = _station_arc_cap(caps, s, huge)
-            if stage == 1:
-                arcs.append(LayeredArc(source, vertex(s, 1), cap, "source", s))
-            elif stage == last:
-                arcs.append(LayeredArc(vertex(s, layers), sink, cap, "sink", s))
-            else:
-                arcs.append(LayeredArc(vertex(s, stage - 1), vertex(s, stage), cap, "bridge", s))
-    if prune_zero:
-        arcs = [a for a in arcs if a.capacity > 0.0]
-    return LayeredGraph(num_vertices=layers * n + 2, source=source, sink=sink, arcs=tuple(arcs))
+            kinds.append({1: "source", last: "sink"}.get(stage, "bridge"))
+            tails.append(source if stage == 1 else vertex(s, stage - 1))
+            heads.append(sink if stage == last else vertex(s, stage))
+            refs.append(s)
+            nominal.append(node_cap[s] if bound_stations else huge)
+            arc_rv.append(owner.get(s, -1) if bound_stations else -1)
+    return LayeredGraph(
+        num_vertices=layers * n + 2, source=source, sink=sink, mode=mode,
+        tails=np.array(tails, dtype=np.int64), heads=np.array(heads, dtype=np.int64),
+        nominal=np.array(nominal), arc_rv=np.array(arc_rv, dtype=np.int64),
+        kinds=tuple(kinds), refs=tuple(refs), end_caps=end_caps, end_rvs=end_rvs)
+
+
+def _solve(graph: LayeredGraph, states, cutoff: float | None = None):
+    """Dinic over the arcs a scenario leaves open; zero arcs never carry flow."""
+    caps = graph.capacities(states)
+    alive = np.nonzero(caps > 0.0)[0]
+    return alive, dinic.max_flow(graph.num_vertices, graph.source, graph.sink,
+                                 graph.tails[alive], graph.heads[alive], caps[alive],
+                                 cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +265,9 @@ def max_processable_flow(
         model = ComponentModel(rvs=())
     if assignment is None:
         assignment = model.all_up()
-    caps = apply_scenario(net, model, assignment, mode)
 
     if backend == LP_BACKEND:
-        prog = build_flow_lp(net, caps)
+        prog = build_flow_lp(net, apply_scenario(net, model, assignment, mode))
         sol = solve_lp(prog.lp)
         if sol.status != OPTIMAL:
             raise RuntimeError(f"throughput LP ended {sol.status}, expected optimal")
@@ -237,19 +276,12 @@ def max_processable_flow(
         station_flow = {s: x[j] for s, j in prog.station_var.items()}
         return FlowSolution(sol.objective_value, mode, backend, edge_flow, station_flow)
 
-    graph = build_layered_graph(net, caps, prune_zero=True)
-    tails = [a.tail for a in graph.arcs]
-    heads = [a.head for a in graph.arcs]
-    arc_caps = [a.capacity for a in graph.arcs]
-    result = dinic.max_flow(graph.num_vertices, graph.source, graph.sink,
-                            tails, heads, arc_caps)
-    edge_flow = {e.edge_id: 0.0 for e in net.edges}
-    station_flow = {s: 0.0 for s in net.station_stage}
-    for arc, f in zip(graph.arcs, result.arc_flow):
-        if arc.kind == "edge":
-            edge_flow[arc.ref] = f
-        else:
-            station_flow[arc.ref] = f
+    graph = build_layered_graph(net, model, mode)
+    alive, result = _solve(graph, assignment_states(model, assignment))
+    flow_of = dict(zip(alive.tolist(), result.arc_flow))
+    edge_flow, station_flow = {}, {}
+    for a, (kind, ref) in enumerate(zip(graph.kinds, graph.refs)):
+        (edge_flow if kind == "edge" else station_flow)[ref] = flow_of.get(a, 0.0)
     return FlowSolution(result.value, mode, backend, edge_flow, station_flow)
 
 
@@ -276,109 +308,28 @@ class SystemFunction:
         backend: str = MAXFLOW_BACKEND,
     ):
         _check_backend(backend)
-        # apply_scenario also validates mode and the model/network pairing
-        apply_scenario(net, model, model.all_up(), mode)
+        # the graph build also validates mode and the model/network pairing
+        self.graph = build_layered_graph(net, model, mode)
         self.net = net
         self.model = model
         self.target = float(target)
         self.mode = mode
         self.backend = backend
         self.rv_ids = tuple(rv.rv_id for rv in model.rvs)
-        self.num_rvs = len(self.rv_ids)
         self.supports_margins = backend == MAXFLOW_BACKEND and mode == STATION_THROUGHPUT
-        if backend == MAXFLOW_BACKEND:
-            self._compile()
-
-    def _compile(self) -> None:
-        net, model = self.net, self.model
-        rv_of_asset: dict[int | str, int] = {}
-        for i, rv in enumerate(model.rvs):
-            for asset in rv.assets:
-                rv_of_asset[asset] = i
-
-        n, layers = net.num_nodes, net.num_stages - 1
-        self._num_vertices = layers * n + 2
-        self._source = layers * n
-        self._sink = self._source + 1
-
-        def vertex(node: int, label: int) -> int:
-            return (label - 1) * n + node - 1
-
-        node_cap = np.array([net.resolved_node_capacity(v) for v in range(1, n + 1)])
-        node_rv = np.array([rv_of_asset.get(v, -1) for v in range(1, n + 1)], dtype=np.int64)
-
-        e_tails, e_heads = [], []
-        for e in net.edges:
-            e_tails.append(vertex(e.tail, e.stage))
-            e_heads.append(vertex(e.head, e.stage))
-        self._edge_nominal = np.array([e.capacity for e in net.edges])
-        self._edge_rv = np.array([rv_of_asset.get(e.edge_id, -1) for e in net.edges],
-                                 dtype=np.int64)
-        self._tail_cap = np.array([node_cap[e.tail - 1] for e in net.edges])
-        self._head_cap = np.array([node_cap[e.head - 1] for e in net.edges])
-        self._tail_rv = np.array([node_rv[e.tail - 1] for e in net.edges], dtype=np.int64)
-        self._head_rv = np.array([node_rv[e.head - 1] for e in net.edges], dtype=np.int64)
-
-        bound_stations = self.mode == STATION_THROUGHPUT
-        huge = 1.0 + float(np.sum(np.maximum(self._edge_nominal,
-                                             np.maximum(self._tail_cap, self._head_cap))))
-        a_tails, a_heads, a_caps, a_rv = [], [], [], []
-        last = net.num_stages
-        for stage, members in enumerate(net.stations, start=1):
-            for s in members:
-                if stage == 1:
-                    a_tails.append(self._source)
-                    a_heads.append(vertex(s, 1))
-                elif stage == last:
-                    a_tails.append(vertex(s, layers))
-                    a_heads.append(self._sink)
-                else:
-                    a_tails.append(vertex(s, stage - 1))
-                    a_heads.append(vertex(s, stage))
-                a_caps.append(node_cap[s - 1] if bound_stations else huge)
-                a_rv.append(rv_of_asset.get(s, -1) if bound_stations else -1)
-        self._att_nominal = np.array(a_caps)
-        self._att_rv = np.array(a_rv, dtype=np.int64)
-        self._tails = np.array(e_tails + a_tails, dtype=np.int64)
-        self._heads = np.array(e_heads + a_heads, dtype=np.int64)
-        # per-arc owner, for flow attribution in importance margins
-        self.arc_rv = np.concatenate([self._edge_rv, self._att_rv])
-        self.num_arcs = self.arc_rv.size
-
-    def _scenario_caps(self, states: np.ndarray) -> np.ndarray:
-        ext = np.empty(self.num_rvs + 1)
-        ext[:self.num_rvs] = states
-        ext[self.num_rvs] = 1.0  # sentinel for assets owned by no rv
-        edge = self._edge_nominal * ext[self._edge_rv]
-        if self.mode == STATION_THROUGHPUT:
-            att = self._att_nominal * ext[self._att_rv]
-        else:
-            tail = self._tail_cap * ext[self._tail_rv]
-            head = self._head_cap * ext[self._head_rv]
-            fold = np.minimum if self.mode == EDGE_MIN else np.maximum
-            edge = fold(edge, fold(tail, head))
-            att = self._att_nominal
-        return np.concatenate([edge, att])
-
-    def _run_dinic(self, states: np.ndarray, cutoff: float | None):
-        caps = self._scenario_caps(np.asarray(states, dtype=np.float64))
-        alive = np.nonzero(caps > 0.0)[0]
-        return caps, alive, dinic.max_flow(
-            self._num_vertices, self._source, self._sink,
-            self._tails[alive], self._heads[alive], caps[alive], cutoff=cutoff)
 
     def flow_value(self, states, cutoff: float | None = None) -> float:
         """Throughput for one state vector; cutoff only for predicates."""
         if self.backend == LP_BACKEND:
             return self._lp_value(states)
-        return self._run_dinic(states, cutoff)[2].value
+        return _solve(self.graph, states, cutoff)[1].value
 
     def arc_profile(self, states) -> tuple[float, np.ndarray]:
         """Full maximum flow and the per-arc flows achieving it."""
         if self.backend == LP_BACKEND:
             raise PlantDataError("arc profiles need the maxflow backend")
-        _, alive, result = self._run_dinic(states, None)
-        flows = np.zeros(self.num_arcs)
+        alive, result = _solve(self.graph, states)
+        flows = np.zeros(self.graph.nominal.size)
         flows[alive] = result.arc_flow
         return result.value, flows
 
@@ -386,7 +337,7 @@ class SystemFunction:
         """True when the plant still reaches its target throughput."""
         if self.backend == LP_BACKEND:
             return self._lp_value(states) >= self.target
-        return self._run_dinic(states, self.target)[2].value >= self.target
+        return _solve(self.graph, states, self.target)[1].value >= self.target
 
     def _lp_value(self, states) -> float:
         assignment = {rv_id: int(s) for rv_id, s in zip(self.rv_ids, states)}
@@ -396,20 +347,18 @@ class SystemFunction:
 
     def rv_arc_caps(self) -> np.ndarray:
         """Per rv: total nominal capacity of the arcs its failure removes."""
-        if not self.supports_margins:
-            raise PlantDataError("margins need the maxflow backend in station-throughput mode")
-        nominal = np.concatenate([self._edge_nominal, self._att_nominal])
-        owned = self.arc_rv >= 0
-        return np.bincount(self.arc_rv[owned], weights=nominal[owned],
-                           minlength=self.num_rvs)
+        return self._per_rv(self.graph.nominal)
 
     def rv_flow_through(self, arc_flows: np.ndarray) -> np.ndarray:
         """Per rv: how much of a given flow runs over arcs it owns."""
+        return self._per_rv(arc_flows)
+
+    def _per_rv(self, arc_values: np.ndarray) -> np.ndarray:
         if not self.supports_margins:
             raise PlantDataError("margins need the maxflow backend in station-throughput mode")
-        owned = self.arc_rv >= 0
-        return np.bincount(self.arc_rv[owned], weights=arc_flows[owned],
-                           minlength=self.num_rvs)
+        owned = self.graph.arc_rv >= 0
+        return np.bincount(self.graph.arc_rv[owned], weights=arc_values[owned],
+                           minlength=len(self.rv_ids))
 
 
 def compile_system(

@@ -9,6 +9,7 @@ different stage labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -166,8 +167,8 @@ def validate_network(net: PlantNetwork) -> ValidationReport:
     Returns a report listing every violation found; an empty report means the
     network is well formed. Checked invariants: at least one station per
     stage, no node in two stages, stations carry explicit capacities, edge
-    stage labels in 1..M-1, node indices in range, nonnegative capacities,
-    unique edge ids, no self-loops.
+    stage labels in 1..M-1, node indices in range, finite nonnegative
+    capacities, unique edge ids, no self-loops.
     """
     bad: list[Violation] = []
 
@@ -199,7 +200,9 @@ def validate_network(net: PlantNetwork) -> ValidationReport:
     for k, cap in net.node_capacity.items():
         if not node_ok(k):
             bad.append(Violation("node-range", f"capacity given for unknown node {k}"))
-        if cap < 0:
+        if not math.isfinite(cap):
+            bad.append(Violation("non-finite-capacity", f"node {k} capacity {cap} is not finite"))
+        elif cap < 0:
             bad.append(Violation("negative-capacity", f"node {k} capacity {cap} < 0"))
 
     seen_edge: set[str] = set()
@@ -214,7 +217,9 @@ def validate_network(net: PlantNetwork) -> ValidationReport:
         if not 1 <= e.stage <= net.num_stages - 1:
             bad.append(Violation(
                 "stage-label", f"edge {e.edge_id} stage {e.stage} outside 1..{net.num_stages - 1}"))
-        if e.capacity < 0:
+        if not math.isfinite(e.capacity):
+            bad.append(Violation("non-finite-capacity", f"edge {e.edge_id} capacity {e.capacity} is not finite"))
+        elif e.capacity < 0:
             bad.append(Violation("negative-capacity", f"edge {e.edge_id} capacity {e.capacity} < 0"))
 
     return ValidationReport(tuple(bad))
@@ -250,6 +255,48 @@ def validate_model(net: PlantNetwork, model: ComponentModel) -> ValidationReport
     return ValidationReport(tuple(bad))
 
 
+def check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise PlantDataError(f"unknown semantics mode {mode!r}; expected one of {MODES}")
+
+
+def asset_owners(net: PlantNetwork, model: ComponentModel) -> dict[int | str, int]:
+    """Map every asset to the index of its RV; MappingError if unknown or shared."""
+    owners: dict[int | str, int] = {}
+    for i, rv in enumerate(model.rvs):
+        for asset in rv.assets:
+            if isinstance(asset, str):
+                if asset not in net.edge_index:
+                    raise MappingError(f"rv {rv.rv_id} references unknown edge {asset!r}")
+            elif not 1 <= asset <= net.num_nodes:
+                raise MappingError(f"rv {rv.rv_id} references unknown node {asset}")
+            if asset in owners:
+                raise MappingError(
+                    f"asset {asset!r} governed by both {model.rvs[owners[asset]].rv_id} and {rv.rv_id}")
+            owners[asset] = i
+    return owners
+
+
+def assignment_states(model: ComponentModel, assignment: dict[str, int]) -> list[int]:
+    """The assignment as a 0/1 state per RV, in model order.
+
+    Raises MappingError if the assignment does not cover the model's RVs
+    exactly or gives an RV a state other than 0 or 1.
+    """
+    known = model.rv_index
+    missing = [rv_id for rv_id in known if rv_id not in assignment]
+    if missing:
+        raise MappingError(f"assignment missing rv ids: {missing}")
+    unknown = [rv_id for rv_id in assignment if rv_id not in known]
+    if unknown:
+        raise MappingError(f"assignment has unknown rv ids: {unknown}")
+    states = [assignment[rv.rv_id] for rv in model.rvs]
+    for rv, state in zip(model.rvs, states):
+        if state not in (0, 1):
+            raise MappingError(f"rv {rv.rv_id} has non-binary state {state!r}")
+    return states
+
+
 def apply_scenario(
     net: PlantNetwork,
     model: ComponentModel,
@@ -275,35 +322,19 @@ def apply_scenario(
         If the mode is unknown.
     MappingError
         If the assignment does not cover the model's RVs exactly, or an RV
-        references an asset the network does not have.
+        references an asset the network does not have or another RV governs.
     """
-    if mode not in MODES:
-        raise PlantDataError(f"unknown semantics mode {mode!r}; expected one of {MODES}")
-    known = model.rv_index
-    missing = [rv_id for rv_id in known if rv_id not in assignment]
-    if missing:
-        raise MappingError(f"assignment missing rv ids: {missing}")
-    unknown = [rv_id for rv_id in assignment if rv_id not in known]
-    if unknown:
-        raise MappingError(f"assignment has unknown rv ids: {unknown}")
+    check_mode(mode)
+    states = assignment_states(model, assignment)
 
     node_cap = {k: net.resolved_node_capacity(k) for k in range(1, net.num_nodes + 1)}
     edge_cap = {e.edge_id: e.capacity for e in net.edges}
-    for rv in model.rvs:
-        state = assignment[rv.rv_id]
-        if state not in (0, 1):
-            raise MappingError(f"rv {rv.rv_id} has non-binary state {state!r}")
-        for asset in rv.assets:
+    for asset, i in asset_owners(net, model).items():
+        if states[i] == 0:
             if isinstance(asset, str):
-                if asset not in edge_cap:
-                    raise MappingError(f"rv {rv.rv_id} references unknown edge {asset!r}")
-                if state == 0:
-                    edge_cap[asset] = 0.0
+                edge_cap[asset] = 0.0
             else:
-                if not 1 <= asset <= net.num_nodes:
-                    raise MappingError(f"rv {rv.rv_id} references unknown node {asset}")
-                if state == 0:
-                    node_cap[asset] = 0.0
+                node_cap[asset] = 0.0
 
     if mode == EDGE_MIN:
         edge_cap = {

@@ -25,6 +25,7 @@ boundary, in which case use method="direct" as the reference.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -96,6 +97,8 @@ def sample_assignment(model: ComponentModel, seed: int, index: int) -> dict[str,
 
 
 def _check_query(query: ReliabilityQuery, workers: int) -> None:
+    if not math.isfinite(query.target_flow):
+        raise ValueError(f"target_flow must be finite, got {query.target_flow}")
     if query.samples < 1:
         raise ValueError(f"samples must be positive, got {query.samples}")
     if workers < 1:

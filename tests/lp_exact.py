@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpSolution, check_structure
+from plantflow.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, LpSolution, check_structure
 
 _MAX_PIVOTS = 200_000
 

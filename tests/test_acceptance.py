@@ -27,7 +27,7 @@ from plantflow import datasets, reliability
 from plantflow.faulttree import didactic_fault_tree, event_ids, evaluate_failure, failure_probability
 from plantflow.flow import max_processable_flow
 from plantflow.lp import OPTIMAL, solve_lp
-from plantflow.lp_exact import solve_lp_exact
+from lp_exact import solve_lp_exact
 from plantflow.model import EDGE_MAX, EDGE_MIN, STATION_THROUGHPUT
 from plantflow.reliability import ReliabilityQuery, birnbaum_importance, estimate_failure_probability
 

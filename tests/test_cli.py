@@ -94,6 +94,34 @@ def test_argparse_rejects_source_conflict(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["maxflow"], ["reliability", "--samples", "10"], ["importance", "--samples", "10"]])
+def test_non_finite_target_is_input_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--builtin", "didactic", "--target", "nan"])
+    assert exc.value.code == 2
+    assert "--target" in capsys.readouterr().err
+
+
+def test_mode_defaults_to_the_document(tmp_path, capsys):
+    doc = datasets.builtin("didactic")
+    path = tmp_path / "plant.json"
+    datasets.save_network(datasets.NetworkDocument(
+        doc.network, doc.model, datasets.AnalysisDefaults(1.0, "edge-min")), path)
+    code, out, _ = run(capsys, "maxflow", "--file", str(path), "--format", "json")
+    assert code == 0
+    # min-folding chokes the intact didactic plant to 0.5
+    assert (json.loads(out)["mode"], json.loads(out)["u_star"]) == ("edge-min", 0.5)
+    code, out, _ = run(capsys, "reliability", "--file", str(path), "--samples", "200",
+                       "--format", "json")
+    assert code == 0
+    # the target 1.0 is out of reach under edge-min, so every sample fails
+    assert (json.loads(out)["mode"], json.loads(out)["p_fail_hat"]) == ("edge-min", 1.0)
+    code, out, _ = run(capsys, "maxflow", "--file", str(path), "--mode",
+                       "station-throughput", "--format", "json")
+    assert json.loads(out)["u_star"] == 1.0
+
+
 def test_reliability_json_fields(capsys):
     code, out, _ = run(capsys, "reliability", "--builtin", "didactic",
                        "--samples", "500", "--seed", "7", "--format", "json")

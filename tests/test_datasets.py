@@ -155,3 +155,23 @@ def test_parse_rejects_bad_probability():
     doc["components"][0]["p_fail"] = 1.5
     with pytest.raises(DataFormatError):
         datasets.parse_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("nodes", "capacity", float("nan")),
+    ("edges", "capacity", float("inf")),
+    ("components", "p_fail", float("nan")),
+])
+def test_parse_rejects_non_finite_numbers(section, field, value):
+    doc = json.loads(datasets.to_text(datasets.builtin("didactic")))
+    i = next(i for i, item in enumerate(doc[section]) if field in item)
+    doc[section][i][field] = value
+    with pytest.raises(DataFormatError, match=rf"{section}\[{i}\]\.{field}: .*finite"):
+        datasets.parse_text(json.dumps(doc))
+
+
+def test_parse_rejects_non_finite_target():
+    doc = json.loads(datasets.to_text(datasets.builtin("didactic")))
+    doc["defaults"]["target_flow"] = float("-inf")
+    with pytest.raises(DataFormatError, match=r"defaults\.target_flow"):
+        datasets.parse_text(json.dumps(doc))

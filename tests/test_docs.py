@@ -1,0 +1,38 @@
+"""The README's library quickstart and the fast demos run as written."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_readme_quickstart_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    proc = run_python("-c", blocks[0])
+    assert proc.returncode == 0, proc.stderr
+    # the two values its comments promise
+    assert proc.stdout.splitlines()[:2] == ["1.0", "0.5"]
+
+
+@pytest.mark.parametrize("demo", [
+    "01_scenario_walkthrough.py",
+    "02_throughput_bottlenecks.py",
+    "05_tree_vs_flow.py",
+])
+def test_fast_demo_runs(demo):
+    proc = run_python(str(ROOT / "demos" / demo))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -9,11 +9,12 @@ measured against.
 
 import random
 
+import numpy as np
 import pytest
 
 from plantflow import datasets
 from plantflow.dinic import max_flow as dinic_max_flow
-from plantflow.errors import PlantDataError
+from plantflow.errors import MappingError, PlantDataError
 from plantflow.flow import (
     SystemFunction,
     build_flow_lp,
@@ -95,21 +96,65 @@ def test_assignment_without_model_rejected():
 
 def test_didactic_layered_graph_shape():
     doc = datasets.builtin("didactic")
-    caps = apply_scenario(doc.network, doc.model, doc.model.all_up())
-    g = build_layered_graph(doc.network, caps)
+    g = build_layered_graph(doc.network, doc.model)
+    caps = g.capacities(np.ones(len(doc.model)))
     # 3 transition layers x 14 nodes + super source and sink
     assert g.num_vertices == 3 * 14 + 2
     kinds = {}
-    for arc in g.arcs:
-        kinds.setdefault(arc.kind, []).append(arc)
+    for kind, ref, cap in zip(g.kinds, g.refs, caps):
+        kinds.setdefault(kind, []).append((ref, cap))
     assert len(kinds["edge"]) == 21
     assert len(kinds["source"]) == 2
-    assert {a.ref for a in kinds["source"]} == {1, 2}
-    assert all(a.capacity == 0.5 for a in kinds["source"])
-    assert {a.ref for a in kinds["bridge"]} == {5, 7, 9, 10, 12}
-    assert all(a.capacity == 0.5 for a in kinds["bridge"])
-    assert [a.ref for a in kinds["sink"]] == [14]
-    assert kinds["sink"][0].capacity == 1.0
+    assert {ref for ref, _ in kinds["source"]} == {1, 2}
+    assert all(cap == 0.5 for _, cap in kinds["source"])
+    assert {ref for ref, _ in kinds["bridge"]} == {5, 7, 9, 10, 12}
+    assert all(cap == 0.5 for _, cap in kinds["bridge"])
+    assert [ref for ref, _ in kinds["sink"]] == [14]
+    assert kinds["sink"][0][1] == 1.0
+
+
+def test_layered_graph_arcs_map_back_to_the_network():
+    doc = datasets.builtin("gas")
+    net = doc.network
+    g = build_layered_graph(net, doc.model)
+    m = len(net.edges)
+    assert g.refs[:m] == tuple(e.edge_id for e in net.edges)
+    assert g.kinds[:m] == ("edge",) * m
+    assert g.refs[m:] == tuple(s for members in net.stations for s in members)
+    for a, ref in enumerate(g.refs):
+        if g.arc_rv[a] >= 0:
+            assert ref in doc.model.rvs[g.arc_rv[a]].assets
+
+
+def test_compile_rejects_unknown_mode():
+    doc = datasets.builtin("didactic")
+    with pytest.raises(PlantDataError, match="mode"):
+        compile_system(doc.network, doc.model, target=1.0, mode="edge-avg")
+
+
+@pytest.mark.parametrize("asset", ["p99_98", 99])
+def test_compile_rejects_rv_with_unknown_asset(asset):
+    doc = datasets.builtin("didactic")
+    model = ComponentModel(rvs=doc.model.rvs + (RandomVariable("ghost", 0.1, (asset,)),))
+    with pytest.raises(MappingError, match="ghost"):
+        compile_system(doc.network, model, target=1.0)
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"n9": None}, "missing"),
+    ({"ghost": 0}, "unknown"),
+    ({"n9": 2}, "non-binary"),
+])
+def test_maxflow_backend_rejects_bad_assignments(change, match):
+    doc = datasets.builtin("didactic")
+    a = doc.model.all_up()
+    for rv_id, state in change.items():
+        if state is None:
+            del a[rv_id]
+        else:
+            a[rv_id] = state
+    with pytest.raises(MappingError, match=match):
+        max_processable_flow(doc.network, doc.model, a, backend="maxflow")
 
 
 def test_all_mid_stage_stations_failed_cuts_everything():
@@ -126,21 +171,19 @@ def test_all_intake_stations_failed_cuts_everything():
 
 
 def test_prune_zero_does_not_change_optimum():
+    # max_processable_flow drops zero-capacity arcs before Dinic runs;
+    # Dinic over every compiled arc must reach the same optimum
     doc = datasets.builtin("didactic")
     rnd = random.Random(11)
-    for _ in range(25):
-        a = {rv.rv_id: (0 if rnd.random() < 0.2 else 1)
-             for rv in doc.model.rvs}
-        caps = apply_scenario(doc.network, doc.model, a)
-        values = []
-        for prune in (False, True):
-            g = build_layered_graph(doc.network, caps, prune_zero=prune)
-            r = dinic_max_flow(g.num_vertices, g.source, g.sink,
-                               [x.tail for x in g.arcs],
-                               [x.head for x in g.arcs],
-                               [x.capacity for x in g.arcs])
-            values.append(r.value)
-        assert values[0] == pytest.approx(values[1], abs=1e-12)
+    for mode in (STATION_THROUGHPUT, EDGE_MIN, EDGE_MAX):
+        g = build_layered_graph(doc.network, doc.model, mode)
+        for _ in range(25):
+            a = {rv.rv_id: (0 if rnd.random() < 0.2 else 1)
+                 for rv in doc.model.rvs}
+            caps = g.capacities([a[rv.rv_id] for rv in doc.model.rvs])
+            full = dinic_max_flow(g.num_vertices, g.source, g.sink, g.tails, g.heads, caps)
+            pruned = max_processable_flow(doc.network, doc.model, a, mode=mode)
+            assert full.value == pytest.approx(pruned.value, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +254,16 @@ def test_stage_bottleneck_bound(name):
 def test_station_layer_cuts_bound_the_optimum():
     # every station layer of the layered graph is an S-T cut
     doc = datasets.builtin("gas")
-    caps = apply_scenario(doc.network, doc.model, doc.model.all_up())
-    g = build_layered_graph(doc.network, caps)
+    g = build_layered_graph(doc.network, doc.model)
+    caps = g.capacities(np.ones(len(doc.model)))
     u = max_processable_flow(doc.network, doc.model).value
     for kind in ("source", "bridge", "sink"):
         by_stage = {}
-        for arc in g.arcs:
-            if arc.kind == kind:
-                stage = doc.network.station_stage[arc.ref]
+        for arc_kind, ref, cap in zip(g.kinds, g.refs, caps):
+            if arc_kind == kind:
+                stage = doc.network.station_stage[ref]
                 by_stage.setdefault(stage, 0.0)
-                by_stage[stage] += arc.capacity
+                by_stage[stage] += cap
         for cut_cap in by_stage.values():
             assert u <= cut_cap + 1e-9
 
@@ -295,7 +338,6 @@ def test_system_function_matches_direct_solves():
     fn = compile_system(doc.network, doc.model, target=0.5)
     assert fn.supports_margins
     rnd = random.Random(31)
-    import numpy as np
     for _ in range(25):
         states = np.array([0.0 if rnd.random() < 0.1 else 1.0
                            for _ in doc.model.rvs])
@@ -308,7 +350,6 @@ def test_system_function_matches_direct_solves():
 def test_system_function_cutoff_consistent_with_full_value():
     doc = datasets.builtin("didactic")
     fn = compile_system(doc.network, doc.model, target=1.0)
-    import numpy as np
     up = np.ones(len(doc.model.rvs))
     assert fn.evaluate(up)
     down = up.copy()
@@ -318,7 +359,6 @@ def test_system_function_cutoff_consistent_with_full_value():
 
 def test_system_function_lp_backend_agrees():
     doc = datasets.builtin("didactic")
-    import numpy as np
     rnd = random.Random(17)
     for mode in (STATION_THROUGHPUT, EDGE_MIN, EDGE_MAX):
         fast = compile_system(doc.network, doc.model, target=1.0, mode=mode)

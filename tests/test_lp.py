@@ -18,7 +18,7 @@ from plantflow.lp import (
     check_structure,
     solve_lp,
 )
-from plantflow.lp_exact import solve_lp_exact
+from lp_exact import solve_lp_exact
 
 INF = math.inf
 

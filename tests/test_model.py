@@ -1,5 +1,7 @@
 """Network model invariants and scenario-to-capacity folding."""
 
+import math
+
 import pytest
 
 from plantflow.errors import MappingError, PlantDataError
@@ -12,6 +14,7 @@ from plantflow.model import (
     PlantNetwork,
     RandomVariable,
     apply_scenario,
+    validate_network,
 )
 
 
@@ -135,3 +138,28 @@ def test_rv_referencing_unknown_asset_rejected():
     model = ComponentModel(rvs=(RandomVariable("bad", 0.1, ("e99",)),))
     with pytest.raises(MappingError, match="e99"):
         apply_scenario(net, model, model.all_up())
+
+
+def test_validate_network_flags_non_finite_capacities():
+    net = tiny_net()
+    bad = PlantNetwork(
+        num_nodes=net.num_nodes, num_stages=net.num_stages, stations=net.stations,
+        node_capacity={1: math.nan, 3: 0.9},
+        edges=(Edge("e1", 1, 2, 1, math.inf), net.edges[1]),
+    )
+    report = validate_network(bad)
+    codes = [v.code for v in report.violations]
+    assert codes == ["non-finite-capacity", "non-finite-capacity"]
+    assert "node 1" in report.violations[0].message
+    assert "edge e1" in report.violations[1].message
+
+
+def test_asset_governed_by_two_rvs_rejected():
+    # the LP and max-flow folds would disagree on which RV decides the asset
+    net = tiny_net()
+    model = ComponentModel(rvs=(
+        RandomVariable("a", 0.1, ("e1",)),
+        RandomVariable("b", 0.1, ("e1",)),
+    ))
+    with pytest.raises(MappingError, match="governed by both a and b"):
+        apply_scenario(net, model, {"a": 0, "b": 1})

@@ -116,6 +116,16 @@ def test_query_validation():
             ReliabilityQuery(target_flow=1.0, samples=10), workers=0)
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf])
+def test_query_rejects_non_finite_target(target):
+    doc = datasets.builtin("didactic")
+    q = ReliabilityQuery(target_flow=target, samples=10)
+    with pytest.raises(ValueError, match="target_flow"):
+        estimate_failure_probability(doc.network, doc.model, q)
+    with pytest.raises(ValueError, match="target_flow"):
+        birnbaum_importance(doc.network, doc.model, q)
+
+
 def test_std_error_formula():
     doc = datasets.builtin("didactic")
     q = ReliabilityQuery(target_flow=1.0, samples=1000, seed=2)
