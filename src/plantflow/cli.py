@@ -37,8 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--file", help="path to a network document file")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--target", type=float, default=None,
-                        help="target flow (default: the dataset's)")
     common.add_argument("--mode", choices=MODES, default=None,
                         help="capacity semantics (default: the dataset's)")
     common.add_argument("--backend", choices=BACKENDS, default=MAXFLOW_BACKEND,
@@ -50,6 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
     mc = argparse.ArgumentParser(add_help=False)
+    mc.add_argument("--target", type=float, default=None,
+                    help="target flow (default: the dataset's)")
     mc.add_argument("--samples", type=int, default=100_000,
                     help="Monte Carlo sample count (default: %(default)s)")
     mc.add_argument("--seed", type=int, default=42,
@@ -83,38 +83,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> tuple:
     if args.builtin is not None:
-        doc = datasets.builtin(args.builtin)
-        name = args.builtin
-    else:
-        doc = datasets.load_network(args.file)
-        name = args.file
-    return doc, name
-
-
-def _target(args, doc) -> float:
-    return args.target if args.target is not None else doc.defaults.target_flow
+        return datasets.builtin(args.builtin), args.builtin
+    return datasets.load_network(args.file), args.file
 
 
 def _mode(args, doc) -> str:
     return args.mode if args.mode is not None else doc.defaults.mode
 
 
-def _emit(args, text: str) -> None:
+def _render(args, record: dict, header: list[str], rows: list, table: list[str]) -> int:
+    """Write the command's result in the requested format to stdout or --out."""
+    if args.format == "json":
+        text = json.dumps(record, indent=2)
+    elif args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        text = buf.getvalue()
+    else:
+        text = "\n".join(table)
     if args.out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
         with open(args.out, "w") as fh:
             fh.write(text)
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    return 0
 
 
 def cmd_maxflow(args) -> int:
@@ -127,39 +119,32 @@ def cmd_maxflow(args) -> int:
         assignment[rv_id] = 0
     sol = max_processable_flow(net, model, assignment,
                                mode=_mode(args, doc), backend=args.backend)
-    if args.format == "json":
-        _emit(args, json.dumps({
-            "command": "maxflow",
-            "network": name,
-            "mode": sol.mode,
-            "backend": sol.backend,
-            "failed": sorted(args.fail),
-            "u_star": sol.value,
-            "edge_flow": sol.edge_flow,
-            "station_flow": {str(k): v for k, v in sol.station_flow.items()},
-        }, indent=2))
-    elif args.format == "csv":
-        rows = [[e.edge_id, e.tail, e.head, e.stage, sol.edge_flow[e.edge_id]]
-                for e in net.edges]
-        _emit(args, _csv_text(["edge_id", "tail", "head", "stage", "flow"], rows))
-    else:
-        lines = [
-            f"network: {name}",
-            f"mode: {sol.mode}   backend: {sol.backend}",
-            f"failed: {', '.join(sorted(args.fail)) or '(none)'}",
-            f"u* = {sol.value:.6f}",
-            "",
-            "edge flows:",
-        ]
-        shown = net.edges if (args.full or len(net.edges) <= _TABLE_EDGE_CAP) \
-            else net.edges[:_TABLE_EDGE_CAP]
-        for e in shown:
-            lines.append(f"  {e.edge_id:>5}  ({e.tail:>2} -> {e.head:>2}, stage {e.stage})"
-                         f"  {sol.edge_flow[e.edge_id]:.6f}")
-        if len(shown) < len(net.edges):
-            lines.append(f"  ... {len(net.edges) - len(shown)} more edges (use --full)")
-        _emit(args, "\n".join(lines))
-    return 0
+    record = {
+        "command": "maxflow",
+        "network": name,
+        "mode": sol.mode,
+        "backend": sol.backend,
+        "failed": sorted(args.fail),
+        "u_star": sol.value,
+        "edge_flow": sol.edge_flow,
+        "station_flow": {str(k): v for k, v in sol.station_flow.items()},
+    }
+    rows = [[e.edge_id, e.tail, e.head, e.stage, sol.edge_flow[e.edge_id]]
+            for e in net.edges]
+    shown = net.edges if args.full else net.edges[:_TABLE_EDGE_CAP]
+    table = [
+        f"network: {name}",
+        f"mode: {sol.mode}   backend: {sol.backend}",
+        f"failed: {', '.join(record['failed']) or '(none)'}",
+        f"u* = {sol.value:.6f}",
+        "",
+        "edge flows:",
+    ]
+    table += [f"  {e.edge_id:>5}  ({e.tail:>2} -> {e.head:>2}, stage {e.stage})"
+              f"  {sol.edge_flow[e.edge_id]:.6f}" for e in shown]
+    if len(shown) < len(net.edges):
+        table.append(f"  ... {len(net.edges) - len(shown)} more edges (use --full)")
+    return _render(args, record, ["edge_id", "tail", "head", "stage", "flow"], rows, table)
 
 
 def _query(args, doc) -> reliability.ReliabilityQuery:
@@ -168,12 +153,25 @@ def _query(args, doc) -> reliability.ReliabilityQuery:
     if args.workers < 1:
         raise PlantDataError("--workers: must be at least 1")
     return reliability.ReliabilityQuery(
-        target_flow=_target(args, doc),
+        target_flow=args.target if args.target is not None else doc.defaults.target_flow,
         mode=_mode(args, doc),
         backend=args.backend,
         samples=args.samples,
         seed=args.seed,
     )
+
+
+def _query_record(args, name: str, query: reliability.ReliabilityQuery) -> dict:
+    """The leading fields of a sampling command's record."""
+    return {
+        "command": args.command,
+        "network": name,
+        "mode": query.mode,
+        "backend": query.backend,
+        "target_flow": query.target_flow,
+        "samples": query.samples,
+        "seed": query.seed,
+    }
 
 
 def cmd_reliability(args) -> int:
@@ -184,35 +182,22 @@ def cmd_reliability(args) -> int:
               "standard error is unreliable at this size", file=sys.stderr)
     rep = reliability.estimate_failure_probability(
         doc.network, doc.model, query, workers=args.workers)
-    if args.format == "json":
-        _emit(args, json.dumps({
-            "command": "reliability",
-            "network": name,
-            "mode": query.mode,
-            "backend": query.backend,
-            "target_flow": query.target_flow,
-            "samples": query.samples,
-            "seed": query.seed,
-            "failures": rep.failures,
-            "p_fail_hat": rep.failure_probability,
-            "std_error": rep.std_error,
-        }, indent=2))
-    elif args.format == "csv":
-        _emit(args, _csv_text(
-            ["network", "mode", "backend", "target_flow", "samples", "seed",
-             "failures", "p_fail_hat", "std_error"],
-            [[name, query.mode, query.backend, query.target_flow, query.samples,
-              query.seed, rep.failures, rep.failure_probability, rep.std_error]]))
-    else:
-        _emit(args, "\n".join([
-            f"network: {name}",
-            f"mode: {query.mode}   backend: {query.backend}",
-            f"target flow: {query.target_flow}",
-            f"samples: {query.samples}   seed: {query.seed}",
-            f"failures: {rep.failures}",
-            f"p_fail = {rep.failure_probability:.5f}  (std error {rep.std_error:.5f})",
-        ]))
-    return 0
+    record = {
+        **_query_record(args, name, query),
+        "failures": rep.failures,
+        "p_fail_hat": rep.failure_probability,
+        "std_error": rep.std_error,
+    }
+    fields = {k: v for k, v in record.items() if k != "command"}
+    table = [
+        f"network: {name}",
+        f"mode: {query.mode}   backend: {query.backend}",
+        f"target flow: {query.target_flow}",
+        f"samples: {query.samples}   seed: {query.seed}",
+        f"failures: {rep.failures}",
+        f"p_fail = {rep.failure_probability:.5f}  (std error {rep.std_error:.5f})",
+    ]
+    return _render(args, record, list(fields), [list(fields.values())], table)
 
 
 def cmd_importance(args) -> int:
@@ -226,47 +211,34 @@ def cmd_importance(args) -> int:
         doc.network, doc.model, query, workers=args.workers)
     top = reliability.rank_components(rep, limit=args.top)
     bottom = reliability.rank_components(rep, limit=args.bottom, smallest=True)
-    if args.format == "json":
-        _emit(args, json.dumps({
-            "command": "importance",
-            "network": name,
-            "mode": query.mode,
-            "backend": query.backend,
-            "target_flow": query.target_flow,
-            "samples": query.samples,
-            "seed": query.seed,
-            "entries": [{"rv_id": e.rv_id, "birnbaum": e.importance,
-                         "std_error": e.std_error} for e in rep.entries],
-            "top": [e.rv_id for e in top.entries],
-            "bottom": [e.rv_id for e in bottom.entries],
-            "truncated": top.truncated or bottom.truncated,
-        }, indent=2))
-    elif args.format == "csv":
-        _emit(args, _csv_text(
-            ["rv_id", "birnbaum", "std_error"],
-            [[e.rv_id, e.importance, e.std_error] for e in rep.entries]))
-    else:
-        lines = [
-            f"network: {name}",
-            f"mode: {query.mode}   backend: {query.backend}   target: {query.target_flow}",
-            f"samples: {query.samples}   seed: {query.seed}",
-        ]
-        if args.top:
-            lines += ["", f"top {len(top.entries)} by Birnbaum importance:"]
-            lines += [f"  {e.rv_id:>6}  {e.importance:+.5f}  (se {e.std_error:.5f})"
-                      for e in top.entries]
-        if args.bottom:
-            lines += ["", f"bottom {len(bottom.entries)}:"]
-            lines += [f"  {e.rv_id:>6}  {e.importance:+.5f}  (se {e.std_error:.5f})"
-                      for e in bottom.entries]
-        if not args.top and not args.bottom:
-            lines += ["", "all components:"]
-            lines += [f"  {e.rv_id:>6}  {e.importance:+.5f}  (se {e.std_error:.5f})"
-                      for e in rep.entries]
-        if top.truncated or bottom.truncated:
-            lines += ["", "(requested list size exceeds component count; truncated)"]
-        _emit(args, "\n".join(lines))
-    return 0
+    record = {
+        **_query_record(args, name, query),
+        "entries": [{"rv_id": e.rv_id, "birnbaum": e.importance,
+                     "std_error": e.std_error} for e in rep.entries],
+        "top": [e.rv_id for e in top.entries],
+        "bottom": [e.rv_id for e in bottom.entries],
+        "truncated": top.truncated or bottom.truncated,
+    }
+
+    def listing(title: str, entries) -> list[str]:
+        return ["", title] + [f"  {e.rv_id:>6}  {e.importance:+.5f}  (se {e.std_error:.5f})"
+                              for e in entries]
+
+    table = [
+        f"network: {name}",
+        f"mode: {query.mode}   backend: {query.backend}   target: {query.target_flow}",
+        f"samples: {query.samples}   seed: {query.seed}",
+    ]
+    if args.top:
+        table += listing(f"top {len(top.entries)} by Birnbaum importance:", top.entries)
+    if args.bottom:
+        table += listing(f"bottom {len(bottom.entries)}:", bottom.entries)
+    if not args.top and not args.bottom:
+        table += listing("all components:", rep.entries)
+    if record["truncated"]:
+        table += ["", "(requested list size exceeds component count; truncated)"]
+    rows = [e.values() for e in record["entries"]]
+    return _render(args, record, ["rv_id", "birnbaum", "std_error"], rows, table)
 
 
 # The two storage scenarios the flow function separates but the tree cannot:
@@ -300,33 +272,25 @@ def cmd_faulttree(args) -> int:
             "flow_function": "fail" if flow_fails else "survive",
             "u_star": u,
         })
-
-    if args.format == "json":
-        _emit(args, json.dumps({
-            "command": "faulttree",
-            "network": "didactic",
-            "p_fail": args.p_fail,
-            "failure_probability": exact,
-            "contrast": contrast,
-        }, indent=2))
-    elif args.format == "csv":
-        _emit(args, _csv_text(
-            ["scenario", "fault_tree", "flow_function", "u_star"],
-            [[c["scenario"], c["fault_tree"], c["flow_function"], c["u_star"]]
-             for c in contrast]))
-    else:
-        lines = [
-            "network: didactic",
-            f"component failure probability: {args.p_fail}",
-            f"exact system failure probability (gate arithmetic): {exact:.10f}",
-            "",
-            "scenario contrast (fault tree vs flow function):",
-        ]
-        for c in contrast:
-            lines.append(f"  {c['scenario']:<28} tree: {c['fault_tree']:<8} "
-                         f"flow: {c['flow_function']:<8} (u* = {c['u_star']:.3f})")
-        _emit(args, "\n".join(lines))
-    return 0
+    record = {
+        "command": "faulttree",
+        "network": "didactic",
+        "p_fail": args.p_fail,
+        "failure_probability": exact,
+        "contrast": contrast,
+    }
+    table = [
+        "network: didactic",
+        f"component failure probability: {args.p_fail}",
+        f"exact system failure probability (gate arithmetic): {exact:.10f}",
+        "",
+        "scenario contrast (fault tree vs flow function):",
+    ]
+    table += [f"  {c['scenario']:<28} tree: {c['fault_tree']:<8} "
+              f"flow: {c['flow_function']:<8} (u* = {c['u_star']:.3f})" for c in contrast]
+    rows = [c.values() for c in contrast]
+    return _render(args, record, ["scenario", "fault_tree", "flow_function", "u_star"],
+                   rows, table)
 
 
 _COMMANDS = {
@@ -344,10 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"argument --target: expected a finite number, got {args.target}")
     try:
         return _COMMANDS[args.command](args)
-    except PlantDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PlantDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PlantflowError, RuntimeError) as exc:

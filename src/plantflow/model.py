@@ -231,28 +231,17 @@ def validate_model(net: PlantNetwork, model: ComponentModel) -> ValidationReport
     Every asset must exist in the network, no asset may be governed by two
     RVs, rv ids must be unique, and failure probabilities must lie in [0, 1].
     """
-    bad: list[Violation] = []
-    claimed: dict[int | str, str] = {}
+    bad: list[tuple[int, Violation]] = []
     seen: set[str] = set()
-    for rv in model.rvs:
+    for i, rv in enumerate(model.rvs):
         if rv.rv_id in seen:
-            bad.append(Violation("duplicate-rv-id", f"rv id {rv.rv_id!r} used twice"))
+            bad.append((i, Violation("duplicate-rv-id", f"rv id {rv.rv_id!r} used twice")))
         seen.add(rv.rv_id)
         if not 0.0 <= rv.p_fail <= 1.0:
-            bad.append(Violation("probability", f"rv {rv.rv_id} p_fail {rv.p_fail} outside [0,1]"))
-        for asset in rv.assets:
-            if isinstance(asset, str):
-                if asset not in net.edge_index:
-                    bad.append(Violation("unknown-asset", f"rv {rv.rv_id} references unknown edge {asset!r}"))
-            elif not 1 <= asset <= net.num_nodes:
-                bad.append(Violation("unknown-asset", f"rv {rv.rv_id} references unknown node {asset}"))
-            if asset in claimed:
-                bad.append(Violation(
-                    "shared-asset",
-                    f"asset {asset!r} governed by both {claimed[asset]} and {rv.rv_id}"))
-            else:
-                claimed[asset] = rv.rv_id
-    return ValidationReport(tuple(bad))
+            bad.append((i, Violation("probability", f"rv {rv.rv_id} p_fail {rv.p_fail} outside [0,1]")))
+    # stable by RV: each RV's own checks come before its asset checks
+    bad = sorted(bad + _walk_assets(net, model)[1], key=lambda iv: iv[0])
+    return ValidationReport(tuple(v for _, v in bad))
 
 
 def check_mode(mode: str) -> None:
@@ -260,20 +249,39 @@ def check_mode(mode: str) -> None:
         raise PlantDataError(f"unknown semantics mode {mode!r}; expected one of {MODES}")
 
 
-def asset_owners(net: PlantNetwork, model: ComponentModel) -> dict[int | str, int]:
-    """Map every asset to the index of its RV; MappingError if unknown or shared."""
+def _walk_assets(
+    net: PlantNetwork, model: ComponentModel,
+) -> tuple[dict[int | str, int], list[tuple[int, Violation]]]:
+    """The asset-ownership rule: every asset exists and has exactly one RV.
+
+    Returns the map asset -> index of its first RV, and an (RV index,
+    violation) pair for each unknown or shared asset, in model order.
+    """
     owners: dict[int | str, int] = {}
+    bad: list[tuple[int, Violation]] = []
     for i, rv in enumerate(model.rvs):
         for asset in rv.assets:
             if isinstance(asset, str):
                 if asset not in net.edge_index:
-                    raise MappingError(f"rv {rv.rv_id} references unknown edge {asset!r}")
+                    bad.append((i, Violation(
+                        "unknown-asset", f"rv {rv.rv_id} references unknown edge {asset!r}")))
             elif not 1 <= asset <= net.num_nodes:
-                raise MappingError(f"rv {rv.rv_id} references unknown node {asset}")
+                bad.append((i, Violation(
+                    "unknown-asset", f"rv {rv.rv_id} references unknown node {asset}")))
             if asset in owners:
-                raise MappingError(
-                    f"asset {asset!r} governed by both {model.rvs[owners[asset]].rv_id} and {rv.rv_id}")
-            owners[asset] = i
+                bad.append((i, Violation(
+                    "shared-asset",
+                    f"asset {asset!r} governed by both {model.rvs[owners[asset]].rv_id} and {rv.rv_id}")))
+            else:
+                owners[asset] = i
+    return owners, bad
+
+
+def asset_owners(net: PlantNetwork, model: ComponentModel) -> dict[int | str, int]:
+    """Map every asset to the index of its RV; MappingError if unknown or shared."""
+    owners, bad = _walk_assets(net, model)
+    if bad:
+        raise MappingError(bad[0][1].message)
     return owners
 
 
@@ -310,7 +318,10 @@ def apply_scenario(
     act on flow bounds:
 
     - ``station-throughput``: edges keep their own capacities and station
-      capacities separately bound each station's bridged throughput.
+      capacities separately bound each station's bridged throughput. A
+      passive (non-station) node's capacity bounds nothing here, so neither
+      its explicit capacity nor the failure of an RV governing it has an
+      effect.
     - ``edge-min``: each edge bound becomes min(edge, tail node, head node),
       reading a node capacity as a limit on everything touching the node.
     - ``edge-max``: the same fold with max, under which a failed station

@@ -1,8 +1,10 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +101,14 @@ def test_argparse_rejects_source_conflict(capsys):
 def test_non_finite_target_is_input_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--builtin", "didactic", "--target", "nan"])
+    assert exc.value.code == 2
+    assert "--target" in capsys.readouterr().err
+
+
+def test_maxflow_rejects_target(capsys):
+    # the target only matters to the sampling commands
+    with pytest.raises(SystemExit) as exc:
+        main(["maxflow", "--builtin", "didactic", "--target", "5"])
     assert exc.value.code == 2
     assert "--target" in capsys.readouterr().err
 
@@ -214,9 +224,12 @@ def test_faulttree_bad_probability(capsys):
 
 
 def test_console_script_entry_point():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "plantflow.cli", "maxflow",
          "--builtin", "didactic", "--format", "json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["u_star"] == pytest.approx(1.0)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from plantflow.errors import MappingError, PlantDataError
+from plantflow.flow import BACKENDS, max_processable_flow
 from plantflow.model import (
     EDGE_MAX,
     EDGE_MIN,
@@ -14,6 +15,7 @@ from plantflow.model import (
     PlantNetwork,
     RandomVariable,
     apply_scenario,
+    validate_model,
     validate_network,
 )
 
@@ -163,3 +165,34 @@ def test_asset_governed_by_two_rvs_rejected():
     ))
     with pytest.raises(MappingError, match="governed by both a and b"):
         apply_scenario(net, model, {"a": 0, "b": 1})
+
+
+def test_validate_model_reports_every_violation_in_model_order():
+    model = ComponentModel(rvs=(
+        RandomVariable("a", 0.1, ("e1", "e99")),
+        RandomVariable("b", 1.5, ("e1",)),
+        RandomVariable("a", 0.1, (7,)),
+    ))
+    report = validate_model(tiny_net(), model)
+    assert [v.code for v in report.violations] == [
+        "unknown-asset", "probability", "shared-asset", "duplicate-rv-id", "unknown-asset"]
+    assert report.violations[2].message == "asset 'e1' governed by both a and b"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_passive_node_binds_only_when_folded(backend):
+    # station-throughput bounds only station conversion, so neither a failed
+    # component on passive node 2 nor an explicit capacity there binds
+    net, model = tiny_net(), tiny_model()
+    a = model.all_up()
+    a["mid"] = 0
+
+    def u_star(net, assignment, mode):
+        return max_processable_flow(net, model, assignment, mode=mode, backend=backend).value
+
+    assert u_star(net, a, STATION_THROUGHPUT) == pytest.approx(0.7)
+    capped = PlantNetwork(net.num_nodes, net.num_stages, net.stations,
+                          {**net.node_capacity, 2: 0.1}, net.edges)
+    assert u_star(capped, model.all_up(), STATION_THROUGHPUT) == pytest.approx(0.7)
+    # edge-min folds node 2 into both of its edges
+    assert u_star(net, a, EDGE_MIN) == 0.0
