@@ -101,8 +101,9 @@ def _render(args, record: dict, header: list[str], rows: list, table: list[str])
         text = buf.getvalue()
     else:
         text = "\n".join(table)
+    text = text if text.endswith("\n") else text + "\n"
     if args.out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -1,17 +1,46 @@
-"""Dinic maximum flow over flat residual arrays.
+"""Dinic maximum flow over a compiled topology and a flat residual list.
 
-Sized for the graphs this package builds (tens to a few hundred arcs), so the
-representation favours simple Python lists: arc 2a is the forward copy of
-input arc a and arc 2a+1 its reverse, residual capacities live in one flat
-list, and the blocking-flow search is iterative with current-arc pointers.
+Sized for the graphs this package builds (tens to a few hundred arcs), so it
+uses plain Python lists. The adjacency is compiled once into a Topology; each
+max_flow call only fills a fresh residual list from its capacities, so no
+state carries over between solves. The blocking-flow search is iterative with
+current-arc pointers.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 _EPS = 1e-12  # residual below this counts as saturated
+
+
+@dataclass(frozen=True, eq=False)
+class Topology:
+    """The capacity-free part of a max-flow instance.
+
+    Residual arc 2a is the forward copy of input arc a and 2a+1 its reverse;
+    to[r] is the vertex arc r enters; adj[v] lists the arcs leaving v in input
+    order. A zero-capacity arc has residual 0 both ways and carries 0.0.
+    """
+
+    num_vertices: int
+    source: int
+    sink: int
+    to: tuple[int, ...]
+    adj: tuple[tuple[int, ...], ...]
+
+
+def build_topology(num_vertices: int, source: int, sink: int, tails, heads) -> Topology:
+    """Compile input arcs tails[a] -> heads[a] (int vertices; parallel arcs are fine)."""
+    to: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(num_vertices)]
+    for a, (t, h) in enumerate(zip(tails, heads)):
+        to += (h, t)
+        adj[t].append(2 * a)
+        adj[h].append(2 * a + 1)
+    return Topology(num_vertices, source, sink, tuple(to), tuple(map(tuple, adj)))
 
 
 @dataclass(frozen=True)
@@ -27,42 +56,24 @@ class MaxFlowResult:
     arc_flow: tuple[float, ...]
 
 
-def max_flow(
-    num_vertices: int,
-    source: int,
-    sink: int,
-    tails,
-    heads,
-    caps,
-    cutoff: float | None = None,
-) -> MaxFlowResult:
-    """Maximum flow from source to sink; arcs are parallel-safe and directed.
+def max_flow(topology: Topology, caps, cutoff: float | None = None) -> MaxFlowResult:
+    """Maximum flow from source to sink with caps[a] on input arc a.
 
     cutoff, when given, stops the search as soon as the accumulated flow
     reaches it (exact >= comparison, no tolerance), which makes threshold
     predicates cheap without changing their outcome.
     """
-    a_count = len(caps)
-    to = [0] * (2 * a_count)
-    res = [0.0] * (2 * a_count)
-    adj: list[list[int]] = [[] for _ in range(num_vertices)]
-    for a in range(a_count):
-        t, h = int(tails[a]), int(heads[a])
-        to[2 * a] = h
-        to[2 * a + 1] = t
-        res[2 * a] = float(caps[a])
-        adj[t].append(2 * a)
-        adj[h].append(2 * a + 1)
+    n, source, sink = topology.num_vertices, topology.source, topology.sink
+    to, adj = topology.to, topology.adj
+    res = [0.0] * len(to)
+    res[0::2] = np.asarray(caps, dtype=np.float64).tolist()
 
     flow = 0.0
-    level = [-1] * num_vertices
     while True:
-        for i in range(num_vertices):
-            level[i] = -1
+        level = [-1] * n
         level[source] = 0
-        queue = deque((source,))
-        while queue:
-            v = queue.popleft()
+        queue = [source]
+        for v in queue:  # grows while iterated: first in, first out
             for a in adj[v]:
                 w = to[a]
                 if level[w] < 0 and res[a] > _EPS:
@@ -71,7 +82,7 @@ def max_flow(
         if level[sink] < 0:
             break
 
-        cursor = [0] * num_vertices
+        cursor = [0] * n
         path: list[int] = []
         v = source
         while True:
@@ -82,31 +93,24 @@ def max_flow(
                     res[a ^ 1] += pushed
                 flow += pushed
                 if cutoff is not None and flow >= cutoff:
-                    return _collect(flow, a_count, res)
+                    return MaxFlowResult(flow, tuple(res[1::2]))
                 v = source
                 path.clear()
                 continue
-            moved = False
             while cursor[v] < len(adj[v]):
                 a = adj[v][cursor[v]]
                 w = to[a]
                 if res[a] > _EPS and level[w] == level[v] + 1:
                     path.append(a)
                     v = w
-                    moved = True
                     break
                 cursor[v] += 1
-            if moved:
-                continue
-            if v == source:
-                break
-            dead = path.pop()
-            v = to[dead ^ 1]
-            cursor[v] += 1
+            else:  # dead end: retreat one arc and skip it
+                if v == source:
+                    break
+                dead = path.pop()
+                v = to[dead ^ 1]
+                cursor[v] += 1
 
-    return _collect(flow, a_count, res)
-
-
-def _collect(flow: float, a_count: int, res: list[float]) -> MaxFlowResult:
     # reverse residual equals the flow carried by the forward arc
-    return MaxFlowResult(flow, tuple(res[2 * a + 1] for a in range(a_count)))
+    return MaxFlowResult(flow, tuple(res[1::2]))

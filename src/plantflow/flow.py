@@ -142,21 +142,21 @@ class LayeredGraph:
     each edge's bound also folds in its end-node capacities, end_caps[0]
     (tail) and end_caps[1] (head), owned by end_rvs; the station arcs then
     get a capacity larger than any achievable flow, standing in for
-    "unbounded" without infinities.
+    "unbounded" without infinities. topology holds the arcs' endpoints.
     """
 
-    num_vertices: int
-    source: int
-    sink: int
+    topology: dinic.Topology
     mode: str
-    tails: np.ndarray
-    heads: np.ndarray
     nominal: np.ndarray
     arc_rv: np.ndarray
     kinds: tuple[str, ...]  # "edge" | "source" | "bridge" | "sink"
     refs: tuple[int | str, ...]  # edge id for edge arcs, station node otherwise
     end_caps: np.ndarray
     end_rvs: np.ndarray
+
+    @property
+    def num_vertices(self) -> int:
+        return self.topology.num_vertices
 
     def capacities(self, states) -> np.ndarray:
         """Arc capacities under a 0/1 state vector ordered like the model."""
@@ -214,19 +214,14 @@ def build_layered_graph(
             nominal.append(node_cap[s] if bound_stations else huge)
             arc_rv.append(owner.get(s, -1) if bound_stations else -1)
     return LayeredGraph(
-        num_vertices=layers * n + 2, source=source, sink=sink, mode=mode,
-        tails=np.array(tails, dtype=np.int64), heads=np.array(heads, dtype=np.int64),
+        topology=dinic.build_topology(layers * n + 2, source, sink, tails, heads), mode=mode,
         nominal=np.array(nominal), arc_rv=np.array(arc_rv, dtype=np.int64),
         kinds=tuple(kinds), refs=tuple(refs), end_caps=end_caps, end_rvs=end_rvs)
 
 
-def _solve(graph: LayeredGraph, states, cutoff: float | None = None):
-    """Dinic over the arcs a scenario leaves open; zero arcs never carry flow."""
-    caps = graph.capacities(states)
-    alive = np.nonzero(caps > 0.0)[0]
-    return alive, dinic.max_flow(graph.num_vertices, graph.source, graph.sink,
-                                 graph.tails[alive], graph.heads[alive], caps[alive],
-                                 cutoff=cutoff)
+def _solve(graph: LayeredGraph, states, cutoff: float | None = None) -> dinic.MaxFlowResult:
+    """Dinic on the compiled topology; each call resets only the residuals."""
+    return dinic.max_flow(graph.topology, caps=graph.capacities(states), cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +272,10 @@ def max_processable_flow(
         return FlowSolution(sol.objective_value, mode, backend, edge_flow, station_flow)
 
     graph = build_layered_graph(net, model, mode)
-    alive, result = _solve(graph, assignment_states(model, assignment))
-    flow_of = dict(zip(alive.tolist(), result.arc_flow))
+    result = _solve(graph, assignment_states(model, assignment))
     edge_flow, station_flow = {}, {}
-    for a, (kind, ref) in enumerate(zip(graph.kinds, graph.refs)):
-        (edge_flow if kind == "edge" else station_flow)[ref] = flow_of.get(a, 0.0)
+    for kind, ref, f in zip(graph.kinds, graph.refs, result.arc_flow):
+        (edge_flow if kind == "edge" else station_flow)[ref] = f
     return FlowSolution(result.value, mode, backend, edge_flow, station_flow)
 
 
@@ -318,26 +312,24 @@ class SystemFunction:
         self.rv_ids = tuple(rv.rv_id for rv in model.rvs)
         self.supports_margins = backend == MAXFLOW_BACKEND and mode == STATION_THROUGHPUT
 
-    def flow_value(self, states, cutoff: float | None = None) -> float:
-        """Throughput for one state vector; cutoff only for predicates."""
+    def flow_value(self, states) -> float:
+        """Throughput for one state vector."""
         if self.backend == LP_BACKEND:
             return self._lp_value(states)
-        return _solve(self.graph, states, cutoff)[1].value
+        return _solve(self.graph, states).value
 
     def arc_profile(self, states) -> tuple[float, np.ndarray]:
         """Full maximum flow and the per-arc flows achieving it."""
         if self.backend == LP_BACKEND:
             raise PlantDataError("arc profiles need the maxflow backend")
-        alive, result = _solve(self.graph, states)
-        flows = np.zeros(self.graph.nominal.size)
-        flows[alive] = result.arc_flow
-        return result.value, flows
+        result = _solve(self.graph, states)
+        return result.value, np.array(result.arc_flow)
 
     def evaluate(self, states) -> bool:
         """True when the plant still reaches its target throughput."""
         if self.backend == LP_BACKEND:
             return self._lp_value(states) >= self.target
-        return _solve(self.graph, states, self.target)[1].value >= self.target
+        return _solve(self.graph, states, self.target).value >= self.target
 
     def _lp_value(self, states) -> float:
         assignment = {rv_id: int(s) for rv_id, s in zip(self.rv_ids, states)}

@@ -42,6 +42,22 @@ def test_maxflow_pressure(capsys):
     assert json.loads(out)["u_star"] == pytest.approx(145.0)
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["maxflow", "--builtin", "didactic", "--fail", "n9"],
+    ["reliability", "--builtin", "didactic", "--samples", "50"],
+    ["faulttree"],
+])
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, argv, fmt):
+    argv = argv + ["--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "out.txt"
+    code, redirected, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and redirected == ""
+    assert path.read_bytes() == out.encode()
+
+
 def test_maxflow_file_source(tmp_path, capsys):
     path = tmp_path / "plant.json"
     datasets.save_network(datasets.builtin("didactic"), path)

@@ -47,7 +47,7 @@ CASES = [
     ["faulttree", "--p-fail", "2"],
 ]
 
-# commands whose output also goes through --out, which writes no trailing newline
+# commands whose output also goes through --out, which writes the stdout bytes
 OUT_CASES = [
     FAILED + ["--format", "table"],
     RELIABILITY + ["--format", "json"],

@@ -1,12 +1,18 @@
 """Max-flow primitive on small graphs with known optima."""
 
+import random
+
 import pytest
 
-from plantflow.dinic import max_flow
+from plantflow.dinic import build_topology, max_flow
+
+
+def solve(n, source, sink, tails, heads, caps, cutoff=None):
+    return max_flow(build_topology(n, source, sink, tails, heads), caps=caps, cutoff=cutoff)
 
 
 def test_single_arc():
-    r = max_flow(2, 0, 1, [0], [1], [0.7])
+    r = solve(2, 0, 1, [0], [1], [0.7])
     assert r.value == pytest.approx(0.7)
     assert list(r.arc_flow) == [pytest.approx(0.7)]
 
@@ -16,7 +22,7 @@ def test_diamond():
     tails = [0, 1, 0, 2]
     heads = [1, 3, 2, 3]
     caps = [0.5, 1.0, 0.25, 0.25]
-    r = max_flow(4, 0, 3, tails, heads, caps)
+    r = solve(4, 0, 3, tails, heads, caps)
     assert r.value == pytest.approx(0.75)
 
 
@@ -25,17 +31,17 @@ def test_bottleneck_in_middle():
     tails = [0, 0, 1, 2, 3]
     heads = [1, 2, 3, 3, 4]
     caps = [0.5, 0.5, 1.0, 1.0, 0.4]
-    r = max_flow(5, 0, 4, tails, heads, caps)
+    r = solve(5, 0, 4, tails, heads, caps)
     assert r.value == pytest.approx(0.4)
 
 
 def test_disconnected_sink():
-    r = max_flow(3, 0, 2, [0], [1], [1.0])
+    r = solve(3, 0, 2, [0], [1], [1.0])
     assert r.value == 0.0
 
 
 def test_zero_capacity_arcs_carry_nothing():
-    r = max_flow(2, 0, 1, [0, 0], [1, 1], [0.0, 0.3])
+    r = solve(2, 0, 1, [0, 0], [1, 1], [0.0, 0.3])
     assert r.value == pytest.approx(0.3)
     assert r.arc_flow[0] == 0.0
 
@@ -45,7 +51,7 @@ def test_antiparallel_pair():
     tails = [0, 1, 2, 2]
     heads = [1, 2, 1, 3]
     caps = [1.0, 0.6, 0.9, 1.0]
-    r = max_flow(4, 0, 3, tails, heads, caps)
+    r = solve(4, 0, 3, tails, heads, caps)
     assert r.value == pytest.approx(0.6)
 
 
@@ -53,22 +59,20 @@ def test_cutoff_stops_early_at_exact_threshold():
     tails = [0, 0, 1, 2]
     heads = [1, 2, 3, 3]
     caps = [0.5, 0.5, 0.5, 0.5]
-    r = max_flow(4, 0, 3, tails, heads, caps, cutoff=0.5)
+    r = solve(4, 0, 3, tails, heads, caps, cutoff=0.5)
     # cutoff is an exact >= test; the search may stop at the threshold
     assert r.value >= 0.5
-    full = max_flow(4, 0, 3, tails, heads, caps)
+    full = solve(4, 0, 3, tails, heads, caps)
     assert full.value == pytest.approx(1.0)
 
 
 def test_cutoff_above_max_returns_max():
-    r = max_flow(2, 0, 1, [0], [1], [0.7], cutoff=2.0)
+    r = solve(2, 0, 1, [0], [1], [0.7], cutoff=2.0)
     assert r.value == pytest.approx(0.7)
 
 
-def test_flow_conservation_on_random_grid():
+def random_grid(rnd):
     # 3x3 grid, left column fed, right column drained
-    import random
-    rnd = random.Random(4)
     n = 11  # 9 cells + source 9 + sink 10
     tails, heads, caps = [], [], []
 
@@ -86,8 +90,12 @@ def test_flow_conservation_on_random_grid():
         for r_ in range(2):
             arc(3 * r_ + c_, 3 * (r_ + 1) + c_, rnd.randint(1, 8) / 4.0)
             arc(3 * (r_ + 1) + c_, 3 * r_ + c_, rnd.randint(1, 8) / 4.0)
+    return n, tails, heads, caps
 
-    res = max_flow(n, 9, 10, tails, heads, caps)
+
+def test_flow_conservation_on_random_grid():
+    n, tails, heads, caps = random_grid(random.Random(4))
+    res = solve(n, 9, 10, tails, heads, caps)
     # conservation at every interior vertex
     net = [0.0] * n
     for a, (t, h) in enumerate(zip(tails, heads)):
@@ -97,3 +105,34 @@ def test_flow_conservation_on_random_grid():
     for v in range(9):
         assert net[v] == pytest.approx(0.0, abs=1e-12)
     assert net[9] == pytest.approx(res.value, abs=1e-12)
+
+
+def test_one_topology_serves_many_capacity_vectors():
+    # a solve only resets residuals, so reusing a topology after full and
+    # cut-off solves must give exactly what a freshly built one gives
+    rnd = random.Random(8)
+    n, tails, heads, _ = random_grid(rnd)
+    topo = build_topology(n, 9, 10, tails, heads)
+    for k in range(30):
+        caps = [rnd.choice((0.0, 0.25, 0.5, 1.0, 1.75)) for _ in tails]
+        cutoff = (None, 0.5, 1.0)[k % 3]
+        reused = max_flow(topo, caps=caps, cutoff=cutoff)
+        fresh = solve(n, 9, 10, tails, heads, caps, cutoff=cutoff)
+        assert reused.value == fresh.value
+        assert reused.arc_flow == fresh.arc_flow
+
+
+def test_zero_capacity_arcs_equal_removed_arcs():
+    # zero arcs stay in the adjacency but are never traversed: the optimum
+    # and every other arc's flow match the graph without them, bit for bit
+    rnd = random.Random(9)
+    for _ in range(20):
+        n, tails, heads, caps = random_grid(rnd)
+        caps = [0.0 if rnd.random() < 0.3 else c for c in caps]
+        kept = [a for a, c in enumerate(caps) if c > 0.0]
+        full = solve(n, 9, 10, tails, heads, caps)
+        pruned = solve(n, 9, 10, [tails[a] for a in kept], [heads[a] for a in kept],
+                       [caps[a] for a in kept])
+        assert full.value == pruned.value
+        assert [full.arc_flow[a] for a in kept] == list(pruned.arc_flow)
+        assert all(full.arc_flow[a] == 0.0 for a, c in enumerate(caps) if c == 0.0)

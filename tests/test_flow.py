@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from plantflow import datasets
+from plantflow import datasets, dinic
 from plantflow.dinic import max_flow as dinic_max_flow
 from plantflow.errors import MappingError, PlantDataError
 from plantflow.flow import (
@@ -170,9 +170,9 @@ def test_all_intake_stations_failed_cuts_everything():
     assert sol.value == pytest.approx(0.0, abs=1e-9)
 
 
-def test_prune_zero_does_not_change_optimum():
-    # max_processable_flow drops zero-capacity arcs before Dinic runs;
-    # Dinic over every compiled arc must reach the same optimum
+def test_full_dinic_equals_max_processable_flow():
+    # Dinic over every compiled arc, called directly on the graph's topology,
+    # gives max_processable_flow's optimum and arc flows bit for bit
     doc = datasets.builtin("didactic")
     rnd = random.Random(11)
     for mode in (STATION_THROUGHPUT, EDGE_MIN, EDGE_MAX):
@@ -181,9 +181,37 @@ def test_prune_zero_does_not_change_optimum():
             a = {rv.rv_id: (0 if rnd.random() < 0.2 else 1)
                  for rv in doc.model.rvs}
             caps = g.capacities([a[rv.rv_id] for rv in doc.model.rvs])
-            full = dinic_max_flow(g.num_vertices, g.source, g.sink, g.tails, g.heads, caps)
-            pruned = max_processable_flow(doc.network, doc.model, a, mode=mode)
-            assert full.value == pytest.approx(pruned.value, abs=1e-12)
+            full = dinic_max_flow(g.topology, caps=caps)
+            sol = max_processable_flow(doc.network, doc.model, a, mode=mode)
+            assert full.value == sol.value
+            assert list(full.arc_flow) == [*sol.edge_flow.values(), *sol.station_flow.values()]
+
+
+def test_dinic_call_contract_read_by_the_benchmark_trace(monkeypatch):
+    # the benchmark's traced run (bench/spans.py) wraps dinic.max_flow and
+    # reads each call's arc count from the `caps` keyword, its cutoff from
+    # the `cutoff` keyword and the result's .value; pin exactly that
+    calls = []
+    real = dinic.max_flow
+
+    def recorder(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(dinic, "max_flow", recorder)
+    doc = datasets.builtin("gas")
+    fn = compile_system(doc.network, doc.model, target=0.5)
+    states = np.ones(len(doc.model))
+    fn.evaluate(states)
+    fn.arc_profile(states)
+    max_processable_flow(doc.network, doc.model)
+    assert len(calls) == 3
+    for (_, kwargs, out), cutoff in zip(calls, (0.5, None, None)):
+        assert set(kwargs) == {"caps", "cutoff"}
+        assert kwargs["cutoff"] == cutoff
+        assert len(kwargs["caps"]) == fn.graph.nominal.size
+        assert isinstance(out.value, float)
 
 
 # ---------------------------------------------------------------------------
