@@ -47,13 +47,17 @@ def build_topology(num_vertices: int, source: int, sink: int, tails, heads) -> T
 class MaxFlowResult:
     """value is the flow found; arc_flow[a] is the flow on input arc a.
 
-    When a cutoff stops the search early, value is the flow at the moment the
-    cutoff was met (>= cutoff) and arc_flow describes that partial flow, not
-    a maximum one.
+    source_side[v] says whether vertex v was reached from the source by the
+    final search, which found no augmenting path; with exact arithmetic the
+    arcs leaving that side are saturated and form a minimum cut. When a
+    cutoff stops the search early, value is the flow at the moment the
+    cutoff was met (>= cutoff), arc_flow describes that partial flow, not a
+    maximum one, and source_side is None.
     """
 
     value: float
     arc_flow: tuple[float, ...]
+    source_side: tuple[bool, ...] | None
 
 
 def max_flow(topology: Topology, caps, cutoff: float | None = None) -> MaxFlowResult:
@@ -93,7 +97,7 @@ def max_flow(topology: Topology, caps, cutoff: float | None = None) -> MaxFlowRe
                     res[a ^ 1] += pushed
                 flow += pushed
                 if cutoff is not None and flow >= cutoff:
-                    return MaxFlowResult(flow, tuple(res[1::2]))
+                    return MaxFlowResult(flow, tuple(res[1::2]), None)
                 v = source
                 path.clear()
                 continue
@@ -113,4 +117,4 @@ def max_flow(topology: Topology, caps, cutoff: float | None = None) -> MaxFlowRe
                 cursor[v] += 1
 
     # reverse residual equals the flow carried by the forward arc
-    return MaxFlowResult(flow, tuple(res[1::2]))
+    return MaxFlowResult(flow, tuple(res[1::2]), tuple(d >= 0 for d in level))

@@ -170,6 +170,17 @@ class LayeredGraph:
             caps[:m] = fold(caps[:m], fold(ends[0], ends[1]))
         return caps
 
+    def reads(self, num_rvs: int) -> np.ndarray:
+        """reads[a, j]: capacities(states)[a] depends on states[j]."""
+        out = np.zeros((self.nominal.size, num_rvs + 1), dtype=bool)  # column -1: no RV
+        arcs = np.arange(self.nominal.size)
+        out[arcs, self.arc_rv] = True
+        if self.mode != STATION_THROUGHPUT:
+            m = self.end_rvs.shape[1]
+            out[arcs[:m], self.end_rvs[0]] = True
+            out[arcs[:m], self.end_rvs[1]] = True
+        return out[:, :-1]
+
 
 def build_layered_graph(
     net: PlantNetwork,
@@ -283,6 +294,41 @@ def max_processable_flow(
 # Compiled evaluator for repeated scenario queries
 
 
+_MAX_SCALE_BITS = 39  # 2**-39 > dinic._EPS, so no nonzero residual reads as saturated
+
+
+def _exact_dyadic(capacities, target: float) -> bool:
+    """True when Dinic's float arithmetic on these numbers is exact.
+
+    That holds when every capacity and the target are integer multiples of
+    one 2**-k with k <= _MAX_SCALE_BITS and the capacities sum to less than
+    2**53 such units: every residual, push and flow total is then such a
+    multiple below 2**53 units, so each float operation is exact, and the
+    smallest nonzero residual exceeds dinic._EPS.
+    """
+    values = [float(v) for v in (*capacities, target)]
+    if not all(map(math.isfinite, values)):
+        return False
+    ratios = [v.as_integer_ratio() for v in values]
+    k = max(den.bit_length() - 1 for _, den in ratios)  # denominators are powers of 2
+    if k > _MAX_SCALE_BITS:
+        return False
+    units = sum(abs(num) << (k - den.bit_length() + 1) for num, den in ratios[:-1])
+    return units < 2 ** 53
+
+
+def rv_bitmasks(rows: np.ndarray) -> list[int]:
+    """One int per row of a boolean (rows, rvs) array; bit j is column j."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def mask_states(down: int, num_rvs: int) -> np.ndarray:
+    """The 0/1 state vector whose failed RVs are the set bits of down."""
+    bits = np.frombuffer(down.to_bytes(num_rvs // 8 + 1, "little"), dtype=np.uint8)
+    return 1.0 - np.unpackbits(bits, count=num_rvs, bitorder="little")
+
+
 class SystemFunction:
     """Survival predicate over component states, compiled once per model.
 
@@ -291,6 +337,10 @@ class SystemFunction:
     tolerance. The maxflow backend vectorises capacity updates and lets
     Dinic stop at the target; the lp backend re-solves the program each call
     and exists as a slow cross-check.
+
+    decide() gives the same verdict plus the set of RVs that proves it. It
+    needs exact, which the compile step sets for the maxflow backend when
+    Dinic handles the capacities and the target without rounding.
     """
 
     def __init__(
@@ -311,6 +361,12 @@ class SystemFunction:
         self.backend = backend
         self.rv_ids = tuple(rv.rv_id for rv in model.rvs)
         self.supports_margins = backend == MAXFLOW_BACKEND and mode == STATION_THROUGHPUT
+        g = self.graph
+        caps = [*g.nominal, *(g.end_caps.ravel() if mode != STATION_THROUGHPUT else ())]
+        self.exact = backend == MAXFLOW_BACKEND and _exact_dyadic(caps, self.target)
+        self._reads = g.reads(len(self.rv_ids))
+        to = g.topology.to
+        self._tails, self._heads = np.array(to[1::2]), np.array(to[0::2])
 
     def flow_value(self, states) -> float:
         """Throughput for one state vector."""
@@ -330,6 +386,32 @@ class SystemFunction:
         if self.backend == LP_BACKEND:
             return self._lp_value(states) >= self.target
         return _solve(self.graph, states, self.target).value >= self.target
+
+    def decide(self, states) -> tuple[bool, int]:
+        """evaluate() plus the RV bitmask (bit j is RV j) that proves it.
+
+        A survivor's mask holds the up RVs read by the arcs that carry its
+        flow: a path set, since that flow stays feasible in any state vector
+        with those RVs up, so every such vector survives. A failure's mask
+        holds the failed RVs read by the arcs leaving the final search's
+        source side: a cut set, whose capacity no vector with those RVs down
+        can raise above this flow, so every such vector fails. An arc reads
+        its owning RV and, in the edge-min and edge-max modes, the RVs of its
+        end nodes. The argument needs exact arithmetic: PlantDataError
+        unless self.exact.
+        """
+        if not self.exact:
+            raise PlantDataError("witnesses need exact capacities and target; see exact")
+        result = _solve(self.graph, states, self.target)
+        up = result.value >= self.target
+        if up:
+            arcs = np.array(result.arc_flow) > 0.0
+            keep = np.asarray(states) == 1.0
+        else:
+            side = np.array(result.source_side)
+            arcs = side[self._tails] & ~side[self._heads]
+            keep = np.asarray(states) == 0.0
+        return up, rv_bitmasks((self._reads[arcs].any(axis=0) & keep)[None])[0]
 
     def _lp_value(self, states) -> float:
         assignment = {rv_id: int(s) for rv_id, s in zip(self.rv_ids, states)}

@@ -14,13 +14,27 @@ counts cannot shift the stream; worker results are integer counts whose sum
 is order-independent. The same query therefore gives bit-identical reports
 at any worker count.
 
-The importance estimator takes exact shortcuts by default (monotonicity of
-throughput in component states, max-flow perturbation bounds, and a small
-memo of repeated failure patterns). These only skip evaluations whose
-outcome is forced, so "margins" and the brute-force "direct" method return
-bit-identical reports; with capacities that are not exactly representable in
-binary floating point the perturbation bounds could in principle act at a
-boundary, in which case use method="direct" as the reference.
+Both estimators skip solves whose outcome is forced. Throughput is monotone
+in component states, so every solve that decides a state vector also yields
+a witness (SystemFunction.decide): a path set when the plant survives (any
+vector with those RVs up survives) or a cut set when it fails (any vector
+with those RVs down fails). The estimators keep these sets and solve only
+the vectors that none of them decides. The importance estimator also uses
+max-flow perturbation bounds ("margins"). The brute-force "direct" method
+evaluates every vector and is the independent reference.
+
+Float policy: survival is an exact `flow >= target` with no tolerance, and
+dinic._EPS (1e-12) is an absolute threshold on residuals. The learned sets
+are only sound when Dinic's arithmetic is exact, so they are used only when
+the compile step finds every capacity and the target to be multiples of one
+2**-k with k <= 39 and the capacities to sum below 2**53 such units
+(SystemFunction.exact; true for every built-in). Otherwise a vector is
+skipped only when it repeats one already solved. The importance estimator's
+perturbation bounds and monotone flips act on any data; with capacities
+that are not exactly representable in binary floating point they could in
+principle act at a boundary, in which case use method="direct" as the
+reference. On exact data "margins" and "direct" return bit-identical
+reports.
 """
 
 from __future__ import annotations
@@ -33,12 +47,11 @@ import numpy as np
 
 from . import rng
 from .errors import PlantDataError
-from .flow import MAXFLOW_BACKEND, SystemFunction, compile_system
+from .flow import MAXFLOW_BACKEND, SystemFunction, compile_system, mask_states, rv_bitmasks
 from .model import STATION_THROUGHPUT, ComponentModel, PlantNetwork
 
 _STATE_CHUNK = 4096       # samples drawn per vectorised RNG call
-_PROFILE_MEMO_MAX = 2     # memo full flow profiles for <= this many failures
-_PREDICATE_MEMO_MAX = 3   # memo survival bits for <= this many failures
+_WITNESSES_MAX = 512      # solves that teach a set; a miss scans them all (about 25 us)
 
 MARGINS_METHOD = "margins"
 DIRECT_METHOD = "direct"
@@ -110,24 +123,67 @@ def _worker_ranges(samples: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
 
 
-def _iter_state_rows(model: ComponentModel, seed: int, lo: int, hi: int):
+def _iter_samples(model: ComponentModel, seed: int, lo: int, hi: int):
+    """Per sample lo..hi-1: its failed-RV flags (a bool array) and their bitmask."""
     n = len(model)
     p = np.array([rv.p_fail for rv in model.rvs])
     for s0 in range(lo, hi, _STATE_CHUNK):
         s1 = min(s0 + _STATE_CHUNK, hi)
         u = rng.uniform_block(seed, s0 * n, (s1 - s0) * n).reshape(s1 - s0, n)
-        states = (u >= p).astype(np.float64)
-        for k in range(s1 - s0):
-            yield s0 + k, states[k]
+        down = u < p
+        yield from zip(down, rv_bitmasks(down))
+
+
+class _Witnesses:
+    """Cut sets and path sets learned from solves, as RV bitmasks.
+
+    A state vector is given by its failed-RV mask (bit j is RV j). It fails
+    when its mask contains a learned cut set and survives when it misses a
+    learned path set; otherwise it is solved and the solve's own witness is
+    kept. With SystemFunction.exact False no set is learned: a solved mask
+    answers only its exact repeats. Learning stops after _WITNESSES_MAX
+    solves, which bounds the scan that precedes each solve. At their 3%
+    down-rates the built-ins learn about 130 sets in a 100k-sample
+    reliability run and gas about 260 in a 20k-sample importance run, while
+    a plant that fails in most samples keeps finding new cut sets.
+    """
+
+    def __init__(self, sf: SystemFunction):
+        self.sf = sf
+        self.cuts: list[int] = []
+        self.paths: list[int] = []
+        self.repeats: dict[int, bool] = {}  # inexact data: verdicts by exact mask
+        self.room = _WITNESSES_MAX
+
+    def survives(self, down: int) -> bool:
+        for path in self.paths:
+            if not path & down:
+                return True
+        for cut in self.cuts:
+            if cut & down == cut:
+                return False
+        if down in self.repeats:
+            return self.repeats[down]
+        states = mask_states(down, len(self.sf.rv_ids))
+        if not self.room:
+            return self.sf.evaluate(states)
+        self.room -= 1
+        if not self.sf.exact:
+            up = self.repeats[down] = self.sf.evaluate(states)
+            return up
+        up, mask = self.sf.decide(states)
+        (self.paths if up else self.cuts).append(mask)
+        return up
 
 
 def _count_failures(args) -> int:
     net, model, query, lo, hi = args
     sf = compile_system(net, model, query.target_flow,
                         mode=query.mode, backend=query.backend)
+    known = _Witnesses(sf)
     failures = 0
-    for _, states in _iter_state_rows(model, query.seed, lo, hi):
-        if not sf.evaluate(states):
+    for _, failed in _iter_samples(model, query.seed, lo, hi):
+        if not known.survives(failed):
             failures += 1
     return failures
 
@@ -154,33 +210,6 @@ def estimate_failure_probability(
                              failure_probability=p_hat, std_error=se)
 
 
-class _Memo:
-    """Survival bits and flow profiles for repeated small failure patterns."""
-
-    def __init__(self, sf: SystemFunction):
-        self.sf = sf
-        self.bits: dict[tuple[int, ...], bool] = {}
-        self.profiles: dict[tuple[int, ...], tuple[float, np.ndarray]] = {}
-
-    def survives(self, states: np.ndarray, failed: tuple[int, ...]) -> bool:
-        if len(failed) > _PREDICATE_MEMO_MAX:
-            return self.sf.evaluate(states)
-        hit = self.bits.get(failed)
-        if hit is None:
-            hit = self.sf.evaluate(states)
-            self.bits[failed] = hit
-        return hit
-
-    def profile(self, states: np.ndarray, failed: tuple[int, ...]):
-        if len(failed) > _PROFILE_MEMO_MAX:
-            return self.sf.arc_profile(states)
-        hit = self.profiles.get(failed)
-        if hit is None:
-            hit = self.sf.arc_profile(states)
-            self.profiles[failed] = hit
-        return hit
-
-
 def _importance_counts(args) -> tuple[np.ndarray, np.ndarray]:
     net, model, query, method, lo, hi = args
     sf = compile_system(net, model, query.target_flow,
@@ -190,12 +219,13 @@ def _importance_counts(args) -> tuple[np.ndarray, np.ndarray]:
     plus = np.zeros(n_rvs, dtype=np.int64)
     minus = np.zeros(n_rvs, dtype=np.int64)
     use_margins = method == MARGINS_METHOD and sf.supports_margins
-    memo = _Memo(sf) if method == MARGINS_METHOD else None
+    known = _Witnesses(sf)
     caps_gain = sf.rv_arc_caps() if use_margins else None
+    bit = [1 << j for j in range(n_rvs)]
 
-    for index, states in _iter_state_rows(model, query.seed, lo, hi):
-        up = states == 1.0
-        failed = tuple(int(j) for j in np.nonzero(~up)[0])
+    for down, failed in _iter_samples(model, query.seed, lo, hi):
+        up = ~down
+        states = up.astype(np.float64)
 
         if method == DIRECT_METHOD:
             for j in range(n_rvs):
@@ -209,41 +239,35 @@ def _importance_counts(args) -> tuple[np.ndarray, np.ndarray]:
             continue
 
         if use_margins:
-            value, arc_flows = memo.profile(states, failed)
+            value, arc_flows = sf.arc_profile(states)
             base_up = value >= target
             phi = sf.rv_flow_through(arc_flows)
         else:
-            base_up = memo.survives(states, failed)
+            base_up = known.survives(failed)
             value = phi = None
 
         if base_up:
             # flipping any component up keeps the system up
             plus += 1
-            minus += up.astype(np.int64) ^ 1  # failed components: minus arm = base
+            minus += down  # failed components: minus arm = base
             if use_margins:
                 safe = up & (value - phi >= target)
-                minus += safe.astype(np.int64)
+                minus += safe
                 pending = np.nonzero(up & ~safe)[0]
             else:
                 pending = np.nonzero(up)[0]
             for j in pending:
-                row = states.copy()
-                row[j] = 0.0
-                drop = tuple(sorted(failed + (int(j),)))
-                if memo.survives(row, drop):
+                if known.survives(failed | bit[j]):
                     minus[j] += 1
         else:
             # system already down: only restoring a failed component can help
             if use_margins:
-                hopeless = ~up & (value + caps_gain < target)
-                pending = np.nonzero(~up & ~hopeless)[0]
+                hopeless = down & (value + caps_gain < target)
+                pending = np.nonzero(down & ~hopeless)[0]
             else:
-                pending = np.nonzero(~up)[0]
+                pending = np.nonzero(down)[0]
             for j in pending:
-                row = states.copy()
-                row[j] = 1.0
-                keep = tuple(k for k in failed if k != int(j))
-                if memo.survives(row, keep):
+                if known.survives(failed & ~bit[j]):
                     plus[j] += 1
     return plus, minus
 

@@ -136,3 +136,29 @@ def test_zero_capacity_arcs_equal_removed_arcs():
         assert full.value == pruned.value
         assert [full.arc_flow[a] for a in kept] == list(pruned.arc_flow)
         assert all(full.arc_flow[a] == 0.0 for a, c in enumerate(caps) if c == 0.0)
+
+
+def test_full_solve_source_side_is_a_minimum_cut():
+    # quarter capacities keep the arithmetic exact, so the arcs leaving the
+    # final search's source side carry exactly the maximum flow
+    rnd = random.Random(12)
+    for _ in range(20):
+        n, tails, heads, caps = random_grid(rnd)
+        caps = [0.0 if rnd.random() < 0.2 else c for c in caps]
+        res = solve(n, 9, 10, tails, heads, caps)
+        side = res.source_side
+        assert len(side) == n and side[9] and not side[10]
+        cut = [a for a, (t, h) in enumerate(zip(tails, heads)) if side[t] and not side[h]]
+        assert sum(caps[a] for a in cut) == res.value
+        assert all(res.arc_flow[a] == caps[a] for a in cut)
+
+
+def test_cutoff_stop_reports_no_source_side():
+    n, tails, heads, caps = random_grid(random.Random(4))
+    full = solve(n, 9, 10, tails, heads, caps)
+    stopped = solve(n, 9, 10, tails, heads, caps, cutoff=0.25)
+    assert stopped.value >= 0.25 and stopped.source_side is None
+    # a cutoff the flow never reaches lets the search finish
+    unreached = solve(n, 9, 10, tails, heads, caps, cutoff=full.value + 1.0)
+    assert unreached.value == full.value
+    assert unreached.source_side == full.source_side

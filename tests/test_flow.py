@@ -26,6 +26,7 @@ from plantflow.lp import OPTIMAL, solve_lp
 from plantflow.model import (
     EDGE_MAX,
     EDGE_MIN,
+    MODES,
     STATION_THROUGHPUT,
     ComponentModel,
     Edge,
@@ -397,3 +398,77 @@ def test_system_function_lp_backend_agrees():
             states = np.array([0.0 if rnd.random() < 0.2 else 1.0
                                for _ in doc.model.rvs])
             assert abs(fast.flow_value(states) - slow.flow_value(states)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", datasets.BUILTINS)
+def test_every_builtin_has_exact_arithmetic(name):
+    doc = datasets.builtin(name)
+    for mode in MODES:
+        fn = compile_system(doc.network, doc.model, doc.defaults.target_flow, mode=mode)
+        assert fn.exact
+    assert not compile_system(doc.network, doc.model, doc.defaults.target_flow,
+                              backend="lp").exact
+
+
+def test_exactness_needs_dyadic_numbers_and_a_bounded_sum():
+    micro = micro_plant()  # edge 0.7, stations 1.0
+    model = ComponentModel(rvs=(RandomVariable("e", 0.1, ("e1",)),))
+    assert not compile_system(micro, model, target=0.5).exact
+    quarter = PlantNetwork(num_nodes=2, num_stages=2, stations=((1,), (2,)),
+                           node_capacity={1: 1.0, 2: 2.0 ** 30},
+                           edges=(Edge("e1", 1, 2, 1, 0.75),))
+    assert compile_system(quarter, model, target=0.5).exact
+    assert not compile_system(quarter, model, target=0.1).exact
+    assert not compile_system(quarter, model, target=2.0 ** -40).exact
+    # 2**30 plus a 2**-23 unit: more than 2**53 units in all
+    fine = PlantNetwork(num_nodes=2, num_stages=2, stations=((1,), (2,)),
+                        node_capacity={1: 1.0, 2: 2.0 ** 30},
+                        edges=(Edge("e1", 1, 2, 1, 2.0 ** -23),))
+    assert not compile_system(fine, model, target=0.5).exact
+    with pytest.raises(PlantDataError, match="exact"):
+        compile_system(micro, model, target=0.5).decide(np.ones(1))
+
+
+@pytest.mark.parametrize("name", datasets.BUILTINS)
+@pytest.mark.parametrize("mode", MODES)
+def test_decide_witnesses_hold_at_their_extremes(name, mode):
+    # a path set must survive with only its RVs up, a cut set must fail with
+    # only its RVs down: the weakest vectors each witness claims to decide
+    doc = datasets.builtin(name)
+    fn = compile_system(doc.network, doc.model, doc.defaults.target_flow, mode=mode)
+    n = len(doc.model)
+    rnd = random.Random(f"{name}/{mode}")
+    for rate in (0.05, 0.2, 0.5):
+        for _ in range(10):
+            states = np.array([0.0 if rnd.random() < rate else 1.0 for _ in range(n)])
+            up, mask = fn.decide(states)
+            assert up == fn.evaluate(states)
+            members = np.array([mask >> j & 1 for j in range(n)], dtype=bool)
+            assert mask >> n == 0
+            if up:
+                assert (states[members] == 1.0).all()
+                assert fn.evaluate(members.astype(float))
+            else:
+                assert (states[members] == 0.0).all()
+                assert not fn.evaluate((~members).astype(float))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_reads_cover_every_capacity_dependence(mode):
+    # a witness is only as sound as this map: an arc whose capacity moves
+    # with an RV must list that RV
+    for name in datasets.BUILTINS:
+        doc = datasets.builtin(name)
+        g = build_layered_graph(doc.network, doc.model, mode)
+        n = len(doc.model)
+        reads = g.reads(n)
+        assert reads.shape == (g.nominal.size, n)
+        rnd = random.Random(f"{name}/{mode}")
+        for _ in range(20):
+            states = np.array([0.0 if rnd.random() < 0.3 else 1.0 for _ in range(n)])
+            base = g.capacities(states)
+            for j in range(n):
+                flipped = states.copy()
+                flipped[j] = 1.0 - flipped[j]
+                moved = g.capacities(flipped) != base
+                assert not (moved & ~reads[:, j]).any()

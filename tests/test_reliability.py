@@ -8,8 +8,16 @@ import numpy as np
 import pytest
 
 from plantflow import datasets, reliability
-from plantflow.flow import compile_system, max_processable_flow
-from plantflow.model import ComponentModel, RandomVariable
+from plantflow.flow import SystemFunction, compile_system, max_processable_flow
+from plantflow.model import (
+    EDGE_MIN,
+    MODES,
+    STATION_THROUGHPUT,
+    ComponentModel,
+    Edge,
+    PlantNetwork,
+    RandomVariable,
+)
 from plantflow.reliability import (
     DIRECT_METHOD,
     MARGINS_METHOD,
@@ -94,6 +102,45 @@ def test_sample_assignment_replays_the_same_sample():
     assert failures == rep.failures
 
 
+@pytest.mark.parametrize("name", datasets.BUILTINS)
+@pytest.mark.parametrize("mode", MODES)
+def test_learned_sets_count_failures_like_direct_recount(name, mode):
+    doc = datasets.builtin(name)
+    fn = compile_system(doc.network, doc.model, doc.defaults.target_flow, mode=mode)
+    assert fn.exact
+    for seed in (5, 77):
+        q = ReliabilityQuery(doc.defaults.target_flow, mode=mode, samples=600, seed=seed)
+        rep = estimate_failure_probability(doc.network, doc.model, q)
+        direct = sum(not fn.evaluate(sample_states(doc.model, seed, i))
+                     for i in range(q.samples))
+        assert rep.failures == direct
+
+
+def test_inexact_plant_learns_nothing_and_counts_like_direct(monkeypatch):
+    # 0.1 + 0.2 != 0.3 in binary floating point: no witness may be trusted
+    net = PlantNetwork(
+        num_nodes=2, num_stages=2, stations=((1,), (2,)),
+        node_capacity={1: 1.0, 2: 1.0},
+        edges=(Edge("a", 1, 2, 1, 0.1), Edge("b", 1, 2, 1, 0.2)),
+    )
+    model = ComponentModel(rvs=(RandomVariable("a", 0.3, ("a",)),
+                                RandomVariable("b", 0.3, ("b",))))
+    fn = compile_system(net, model, target=0.3)
+    assert not fn.exact
+
+    def refused(self, states):
+        raise AssertionError("a witness was requested on inexact data")
+
+    monkeypatch.setattr(SystemFunction, "decide", refused)
+    q = ReliabilityQuery(target_flow=0.3, samples=400, seed=4)
+    rep = estimate_failure_probability(net, model, q)
+    direct = sum(not fn.evaluate(sample_states(model, q.seed, i)) for i in range(q.samples))
+    assert 0 < rep.failures == direct < q.samples
+    a = birnbaum_importance(net, model, q, method=MARGINS_METHOD)
+    b = birnbaum_importance(net, model, q, method=DIRECT_METHOD)
+    assert a.entries == b.entries
+
+
 def test_worker_count_never_changes_the_estimate():
     doc = datasets.builtin("didactic")
     q = ReliabilityQuery(target_flow=1.0, samples=4000, seed=42)
@@ -139,15 +186,42 @@ def test_std_error_formula():
 
 
 def test_margins_shortcut_equals_direct_evaluation():
-    for name, target in (("didactic", 1.0), ("gas", 0.5)):
+    # station-throughput uses the margins and the learned sets; the fold
+    # mode has no margins, so there the learned sets decide the flips alone
+    cases = [(name, mode, samples) for name in datasets.BUILTINS
+             for mode, samples in ((STATION_THROUGHPUT, 400), (EDGE_MIN, 100))]
+    for name, mode, samples in cases:
         doc = datasets.builtin(name)
-        q = ReliabilityQuery(target_flow=target, samples=400, seed=13)
+        q = ReliabilityQuery(target_flow=doc.defaults.target_flow, mode=mode,
+                             samples=samples, seed=13)
         a = birnbaum_importance(doc.network, doc.model, q, method=MARGINS_METHOD)
         b = birnbaum_importance(doc.network, doc.model, q, method=DIRECT_METHOD)
+        assert len(a.entries) == len(b.entries) == len(doc.model)
         for x, y in zip(a.entries, b.entries):
             assert x.rv_id == y.rv_id
             assert x.importance == y.importance
             assert x.std_error == y.std_error
+
+
+def test_direct_method_evaluates_both_arms_and_learns_nothing(monkeypatch):
+    doc = datasets.builtin("didactic")
+    calls = []
+    real = SystemFunction.evaluate
+
+    def counted(self, states):
+        calls.append(1)
+        return real(self, states)
+
+    def refused(self, *args):
+        raise AssertionError("the direct method consulted a shortcut")
+
+    monkeypatch.setattr(SystemFunction, "evaluate", counted)
+    monkeypatch.setattr(SystemFunction, "decide", refused)
+    monkeypatch.setattr(SystemFunction, "arc_profile", refused)
+    monkeypatch.setattr(reliability._Witnesses, "survives", refused)
+    q = ReliabilityQuery(target_flow=1.0, samples=30, seed=2)
+    birnbaum_importance(doc.network, doc.model, q, method=DIRECT_METHOD)
+    assert len(calls) == 2 * len(doc.model) * q.samples
 
 
 def test_importance_worker_identity():
