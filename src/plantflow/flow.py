@@ -297,23 +297,24 @@ def max_processable_flow(
 _MAX_SCALE_BITS = 39  # 2**-39 > dinic._EPS, so no nonzero residual reads as saturated
 
 
-def _exact_dyadic(capacities, target: float) -> bool:
-    """True when Dinic's float arithmetic on these numbers is exact.
+def _exact_dyadic(capacities) -> bool:
+    """True when Dinic's float arithmetic on these capacities is exact.
 
-    That holds when every capacity and the target are integer multiples of
-    one 2**-k with k <= _MAX_SCALE_BITS and the capacities sum to less than
-    2**53 such units: every residual, push and flow total is then such a
-    multiple below 2**53 units, so each float operation is exact, and the
-    smallest nonzero residual exceeds dinic._EPS.
+    That holds when every capacity is an integer multiple of one 2**-k with
+    k <= _MAX_SCALE_BITS and they sum to less than 2**53 such units: every
+    residual, push and flow total is then such a multiple below 2**53 units,
+    so each float operation is exact, and the smallest nonzero residual
+    exceeds dinic._EPS. The target need not have this form: flow totals are
+    only compared with it (an exact >=), never combined with it.
     """
-    values = [float(v) for v in (*capacities, target)]
+    values = [float(v) for v in capacities]
     if not all(map(math.isfinite, values)):
         return False
     ratios = [v.as_integer_ratio() for v in values]
-    k = max(den.bit_length() - 1 for _, den in ratios)  # denominators are powers of 2
+    k = max((den.bit_length() - 1 for _, den in ratios), default=0)  # powers of 2
     if k > _MAX_SCALE_BITS:
         return False
-    units = sum(abs(num) << (k - den.bit_length() + 1) for num, den in ratios[:-1])
+    units = sum(abs(num) << (k - den.bit_length() + 1) for num, den in ratios)
     return units < 2 ** 53
 
 
@@ -323,10 +324,10 @@ def rv_bitmasks(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def mask_states(down: int, num_rvs: int) -> np.ndarray:
-    """The 0/1 state vector whose failed RVs are the set bits of down."""
-    bits = np.frombuffer(down.to_bytes(num_rvs // 8 + 1, "little"), dtype=np.uint8)
-    return 1.0 - np.unpackbits(bits, count=num_rvs, bitorder="little")
+def mask_flags(mask: int, num_rvs: int) -> np.ndarray:
+    """One bool per RV, True where mask has its bit set; inverts rv_bitmasks."""
+    bits = np.frombuffer(mask.to_bytes(num_rvs // 8 + 1, "little"), dtype=np.uint8)
+    return np.unpackbits(bits, count=num_rvs, bitorder="little").view(bool)
 
 
 class SystemFunction:
@@ -340,7 +341,7 @@ class SystemFunction:
 
     decide() gives the same verdict plus the set of RVs that proves it. It
     needs exact, which the compile step sets for the maxflow backend when
-    Dinic handles the capacities and the target without rounding.
+    Dinic handles the capacities without rounding.
     """
 
     def __init__(
@@ -363,7 +364,7 @@ class SystemFunction:
         self.supports_margins = backend == MAXFLOW_BACKEND and mode == STATION_THROUGHPUT
         g = self.graph
         caps = [*g.nominal, *(g.end_caps.ravel() if mode != STATION_THROUGHPUT else ())]
-        self.exact = backend == MAXFLOW_BACKEND and _exact_dyadic(caps, self.target)
+        self.exact = backend == MAXFLOW_BACKEND and _exact_dyadic(caps)
         self._reads = g.reads(len(self.rv_ids))
         to = g.topology.to
         self._tails, self._heads = np.array(to[1::2]), np.array(to[0::2])
@@ -401,7 +402,7 @@ class SystemFunction:
         unless self.exact.
         """
         if not self.exact:
-            raise PlantDataError("witnesses need exact capacities and target; see exact")
+            raise PlantDataError("witnesses need exact capacities; see exact")
         result = _solve(self.graph, states, self.target)
         up = result.value >= self.target
         if up:

@@ -20,21 +20,23 @@ a witness (SystemFunction.decide): a path set when the plant survives (any
 vector with those RVs up survives) or a cut set when it fails (any vector
 with those RVs down fails). The estimators keep these sets and solve only
 the vectors that none of them decides. The importance estimator also uses
-max-flow perturbation bounds ("margins"). The brute-force "direct" method
-evaluates every vector and is the independent reference.
+max-flow perturbation bounds ("margins") on the flips the sets leave open.
+The brute-force "direct" method evaluates every vector and is the
+independent reference.
 
 Float policy: survival is an exact `flow >= target` with no tolerance, and
 dinic._EPS (1e-12) is an absolute threshold on residuals. The learned sets
 are only sound when Dinic's arithmetic is exact, so they are used only when
-the compile step finds every capacity and the target to be multiples of one
-2**-k with k <= 39 and the capacities to sum below 2**53 such units
-(SystemFunction.exact; true for every built-in). Otherwise a vector is
-skipped only when it repeats one already solved. The importance estimator's
-perturbation bounds and monotone flips act on any data; with capacities
-that are not exactly representable in binary floating point they could in
-principle act at a boundary, in which case use method="direct" as the
-reference. On exact data "margins" and "direct" return bit-identical
-reports.
+the compile step finds every capacity to be a multiple of one 2**-k with
+k <= 39 and the capacities to sum below 2**53 such units
+(SystemFunction.exact; true for every built-in). The target may be any
+finite number, since flow totals are only compared with it. Otherwise no
+set is learned and every undecided vector is solved. The importance
+estimator's perturbation bounds and monotone flips act on any data; with
+capacities that are not exactly representable in binary floating point
+they could in principle act at a boundary, in which case use
+method="direct" as the reference. On exact data "margins" and "direct"
+return bit-identical reports.
 """
 
 from __future__ import annotations
@@ -47,11 +49,11 @@ import numpy as np
 
 from . import rng
 from .errors import PlantDataError
-from .flow import MAXFLOW_BACKEND, SystemFunction, compile_system, mask_states, rv_bitmasks
+from .flow import MAXFLOW_BACKEND, SystemFunction, compile_system, mask_flags, rv_bitmasks
 from .model import STATION_THROUGHPUT, ComponentModel, PlantNetwork
 
 _STATE_CHUNK = 4096       # samples drawn per vectorised RNG call
-_WITNESSES_MAX = 512      # solves that teach a set; a miss scans them all (about 25 us)
+_WITNESSES_MAX = 512      # solves that teach a set; a miss scans them all (30-40 us)
 
 MARGINS_METHOD = "margins"
 DIRECT_METHOD = "direct"
@@ -124,14 +126,14 @@ def _worker_ranges(samples: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _iter_samples(model: ComponentModel, seed: int, lo: int, hi: int):
-    """Per sample lo..hi-1: its failed-RV flags (a bool array) and their bitmask."""
+    """Per sample lo..hi-1: failed-RV flags (bool), 0/1 states and the failed bitmask."""
     n = len(model)
     p = np.array([rv.p_fail for rv in model.rvs])
     for s0 in range(lo, hi, _STATE_CHUNK):
         s1 = min(s0 + _STATE_CHUNK, hi)
         u = rng.uniform_block(seed, s0 * n, (s1 - s0) * n).reshape(s1 - s0, n)
         down = u < p
-        yield from zip(down, rv_bitmasks(down))
+        yield from zip(down, (~down).astype(np.float64), rv_bitmasks(down))
 
 
 class _Witnesses:
@@ -139,10 +141,11 @@ class _Witnesses:
 
     A state vector is given by its failed-RV mask (bit j is RV j). It fails
     when its mask contains a learned cut set and survives when it misses a
-    learned path set; otherwise it is solved and the solve's own witness is
-    kept. With SystemFunction.exact False no set is learned: a solved mask
-    answers only its exact repeats. Learning stops after _WITNESSES_MAX
-    solves, which bounds the scan that precedes each solve. At their 3%
+    learned path set; otherwise survives() solves it and keeps the solve's
+    own set. Learning needs SystemFunction.exact and stops after
+    _WITNESSES_MAX solves, which bounds the scan that precedes each solve;
+    past that cap, and on data that is not exact, every undecided vector
+    goes to evaluate(). At their 3%
     down-rates the built-ins learn about 130 sets in a 100k-sample
     reliability run and gas about 260 in a 20k-sample importance run, while
     a plant that fails in most samples keeps finding new cut sets.
@@ -152,25 +155,28 @@ class _Witnesses:
         self.sf = sf
         self.cuts: list[int] = []
         self.paths: list[int] = []
-        self.repeats: dict[int, bool] = {}  # inexact data: verdicts by exact mask
-        self.room = _WITNESSES_MAX
+        self.room = _WITNESSES_MAX if sf.exact else 0
 
-    def survives(self, down: int) -> bool:
+    def lookup(self, down: int) -> tuple[bool, int] | None:
+        """The verdict a learned set forces on this mask, with that set."""
         for path in self.paths:
             if not path & down:
-                return True
+                return True, path
         for cut in self.cuts:
             if cut & down == cut:
-                return False
-        if down in self.repeats:
-            return self.repeats[down]
-        states = mask_states(down, len(self.sf.rv_ids))
+                return False, cut
+        return None
+
+    def survives(self, down: int, states: np.ndarray) -> bool:
+        """The verdict on one vector, given as its failed mask and its states."""
+        found = self.lookup(down)
+        return found[0] if found is not None else self.solve(down, states)
+
+    def solve(self, down: int, states: np.ndarray) -> bool:
+        """survives() for a vector that lookup() leaves open."""
         if not self.room:
             return self.sf.evaluate(states)
         self.room -= 1
-        if not self.sf.exact:
-            up = self.repeats[down] = self.sf.evaluate(states)
-            return up
         up, mask = self.sf.decide(states)
         (self.paths if up else self.cuts).append(mask)
         return up
@@ -182,8 +188,8 @@ def _count_failures(args) -> int:
                         mode=query.mode, backend=query.backend)
     known = _Witnesses(sf)
     failures = 0
-    for _, failed in _iter_samples(model, query.seed, lo, hi):
-        if not known.survives(failed):
+    for _, states, failed in _iter_samples(model, query.seed, lo, hi):
+        if not known.survives(failed, states):
             failures += 1
     return failures
 
@@ -210,6 +216,21 @@ def estimate_failure_probability(
                              failure_probability=p_hat, std_error=se)
 
 
+def _margins_open(sf: SystemFunction, profile, base_up: bool, arms: np.ndarray,
+                  counts: np.ndarray, caps_gain: np.ndarray) -> np.ndarray:
+    """The arms that max-flow margins leave open; counts the survivors they settle.
+
+    Failing component j removes at most the flow through its arcs, and
+    restoring it adds at most their capacity.
+    """
+    value, arc_flows = profile
+    if base_up:
+        safe = arms & (value - sf.rv_flow_through(arc_flows) >= sf.target)
+        counts += safe
+        return arms & ~safe
+    return arms & (value + caps_gain >= sf.target)
+
+
 def _importance_counts(args) -> tuple[np.ndarray, np.ndarray]:
     net, model, query, method, lo, hi = args
     sf = compile_system(net, model, query.target_flow,
@@ -221,11 +242,10 @@ def _importance_counts(args) -> tuple[np.ndarray, np.ndarray]:
     use_margins = method == MARGINS_METHOD and sf.supports_margins
     known = _Witnesses(sf)
     caps_gain = sf.rv_arc_caps() if use_margins else None
-    bit = [1 << j for j in range(n_rvs)]
+    every = np.ones(n_rvs, dtype=bool)
 
-    for down, failed in _iter_samples(model, query.seed, lo, hi):
+    for down, states, failed in _iter_samples(model, query.seed, lo, hi):
         up = ~down
-        states = up.astype(np.float64)
 
         if method == DIRECT_METHOD:
             for j in range(n_rvs):
@@ -238,37 +258,51 @@ def _importance_counts(args) -> tuple[np.ndarray, np.ndarray]:
                     minus[j] += 1
             continue
 
-        if use_margins:
-            value, arc_flows = sf.arc_profile(states)
-            base_up = value >= target
-            phi = sf.rv_flow_through(arc_flows)
+        # Each arm flips one component. A learned set that decides the base
+        # also decides every flip outside it, which still meets the set.
+        profile = None
+        found = known.lookup(failed)
+        if found is not None:
+            base_up, witness = found
+            open_arms = mask_flags(witness, n_rvs)
+        elif use_margins:
+            profile = sf.arc_profile(states)
+            base_up = profile[0] >= target
+            open_arms = every
         else:
-            base_up = known.survives(failed)
-            value = phi = None
+            base_up = known.solve(failed, states)
+            open_arms = every
 
         if base_up:
             # flipping any component up keeps the system up
             plus += 1
-            minus += down  # failed components: minus arm = base
-            if use_margins:
-                safe = up & (value - phi >= target)
-                minus += safe
-                pending = np.nonzero(up & ~safe)[0]
-            else:
-                pending = np.nonzero(up)[0]
-            for j in pending:
-                if known.survives(failed | bit[j]):
-                    minus[j] += 1
+            minus += down | (up & ~open_arms)  # failed components: minus arm = base
+            arms, counts = up & open_arms, minus
         else:
             # system already down: only restoring a failed component can help
-            if use_margins:
-                hopeless = down & (value + caps_gain < target)
-                pending = np.nonzero(down & ~hopeless)[0]
-            else:
-                pending = np.nonzero(down)[0]
-            for j in pending:
-                if known.survives(failed & ~bit[j]):
-                    plus[j] += 1
+            arms, counts = down & open_arms, plus
+
+        # settle what is cheap first: margins once a profile exists, then the sets
+        if profile is not None:
+            arms = _margins_open(sf, profile, base_up, arms, counts, caps_gain)
+        pending = []
+        for j in np.flatnonzero(arms).tolist():
+            found = known.lookup(failed ^ (1 << j))
+            if found is None:
+                pending.append(j)
+            elif found[0]:
+                counts[j] += 1
+        if pending and use_margins and profile is None:
+            profile = sf.arc_profile(states)
+            arms = np.zeros(n_rvs, dtype=bool)
+            arms[pending] = True
+            pending = np.flatnonzero(
+                _margins_open(sf, profile, base_up, arms, counts, caps_gain)).tolist()
+        for j in pending:
+            row = states.copy()
+            row[j] = 1.0 - row[j]
+            if known.solve(failed ^ (1 << j), row):
+                counts[j] += 1
     return plus, minus
 
 

@@ -410,16 +410,16 @@ def test_every_builtin_has_exact_arithmetic(name):
                               backend="lp").exact
 
 
-def test_exactness_needs_dyadic_numbers_and_a_bounded_sum():
+def test_exactness_needs_dyadic_capacities_and_a_bounded_sum():
     micro = micro_plant()  # edge 0.7, stations 1.0
     model = ComponentModel(rvs=(RandomVariable("e", 0.1, ("e1",)),))
     assert not compile_system(micro, model, target=0.5).exact
     quarter = PlantNetwork(num_nodes=2, num_stages=2, stations=((1,), (2,)),
                            node_capacity={1: 1.0, 2: 2.0 ** 30},
                            edges=(Edge("e1", 1, 2, 1, 0.75),))
-    assert compile_system(quarter, model, target=0.5).exact
-    assert not compile_system(quarter, model, target=0.1).exact
-    assert not compile_system(quarter, model, target=2.0 ** -40).exact
+    # the target is only compared with flow totals, so any finite one will do
+    for target in (0.5, 0.1, 2.0 ** -40):
+        assert compile_system(quarter, model, target=target).exact
     # 2**30 plus a 2**-23 unit: more than 2**53 units in all
     fine = PlantNetwork(num_nodes=2, num_stages=2, stations=((1,), (2,)),
                         node_capacity={1: 1.0, 2: 2.0 ** 30},

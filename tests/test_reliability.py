@@ -141,6 +141,67 @@ def test_inexact_plant_learns_nothing_and_counts_like_direct(monkeypatch):
     assert a.entries == b.entries
 
 
+@pytest.mark.parametrize("name,target", [("pressure-expanded", 89.9), ("gas", 0.49)])
+def test_any_target_keeps_learning_and_counts_like_direct(name, target):
+    # dyadic capacities keep Dinic exact; a target like 89.9 is only compared
+    doc = datasets.builtin(name)
+    fn = compile_system(doc.network, doc.model, target)
+    assert fn.exact
+    q = ReliabilityQuery(target_flow=target, samples=400, seed=8)
+    rep = estimate_failure_probability(doc.network, doc.model, q)
+    direct = sum(not fn.evaluate(sample_states(doc.model, q.seed, i)) for i in range(q.samples))
+    assert 0 < rep.failures == direct
+    q = ReliabilityQuery(target_flow=target, samples=100, seed=8)
+    a = birnbaum_importance(doc.network, doc.model, q, method=MARGINS_METHOD)
+    b = birnbaum_importance(doc.network, doc.model, q, method=DIRECT_METHOD)
+    assert a.entries == b.entries
+
+
+def test_counts_hold_once_the_witness_cap_is_reached(monkeypatch):
+    # past the cap nothing more is learned and undecided vectors go to evaluate()
+    monkeypatch.setattr(reliability, "_WITNESSES_MAX", 3)
+    real = SystemFunction.evaluate
+    calls = []
+
+    def counted(self, states):
+        calls.append(1)
+        return real(self, states)
+
+    monkeypatch.setattr(SystemFunction, "evaluate", counted)
+    doc = datasets.builtin("gas")
+    fn = compile_system(doc.network, doc.model, doc.defaults.target_flow)
+    q = ReliabilityQuery(target_flow=doc.defaults.target_flow, samples=300, seed=3)
+    rep = estimate_failure_probability(doc.network, doc.model, q)
+    assert calls
+    direct = sum(not real(fn, sample_states(doc.model, q.seed, i)) for i in range(q.samples))
+    assert 0 < rep.failures == direct
+
+    doc = datasets.builtin("didactic")
+    q = ReliabilityQuery(target_flow=doc.defaults.target_flow, samples=200, seed=3)
+    calls.clear()
+    a = birnbaum_importance(doc.network, doc.model, q, method=MARGINS_METHOD)
+    assert calls
+    b = birnbaum_importance(doc.network, doc.model, q, method=DIRECT_METHOD)
+    assert a.entries == b.entries
+
+
+def test_margins_profile_only_samples_the_learned_sets_leave_open(monkeypatch):
+    # a base verdict forced by a learned set settles every flip outside that
+    # set, so on exact data most samples need no full flow profile
+    real = SystemFunction.arc_profile
+    calls = []
+
+    def counted(self, states):
+        calls.append(1)
+        return real(self, states)
+
+    monkeypatch.setattr(SystemFunction, "arc_profile", counted)
+    doc = datasets.builtin("pressure-expanded")
+    q = ReliabilityQuery(target_flow=doc.defaults.target_flow, samples=500, seed=13)
+    birnbaum_importance(doc.network, doc.model, q, method=MARGINS_METHOD)
+    assert 0 < len(calls) < q.samples // 4
+
+
 def test_worker_count_never_changes_the_estimate():
     doc = datasets.builtin("didactic")
     q = ReliabilityQuery(target_flow=1.0, samples=4000, seed=42)
@@ -218,6 +279,7 @@ def test_direct_method_evaluates_both_arms_and_learns_nothing(monkeypatch):
     monkeypatch.setattr(SystemFunction, "evaluate", counted)
     monkeypatch.setattr(SystemFunction, "decide", refused)
     monkeypatch.setattr(SystemFunction, "arc_profile", refused)
+    monkeypatch.setattr(reliability._Witnesses, "lookup", refused)
     monkeypatch.setattr(reliability._Witnesses, "survives", refused)
     q = ReliabilityQuery(target_flow=1.0, samples=30, seed=2)
     birnbaum_importance(doc.network, doc.model, q, method=DIRECT_METHOD)
