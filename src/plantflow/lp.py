@@ -4,11 +4,16 @@ Solves maximisation problems with equality constraints and box bounds:
 
     maximise c . x   subject to   A x = b,   l <= x <= u
 
-using a two-phase primal simplex on a dense tableau with bounded variables
-(nonbasic variables rest at either bound). Pricing is Dantzig's rule with a
-permanent switch to Bland's rule after a run of degenerate pivots, which
-guarantees termination. There is no external solver dependency; problem sizes
-here are a few hundred variables at most.
+using a two-phase primal simplex with bounded variables (nonbasic variables
+rest at either bound). The tableau is a numpy array over the structural
+columns only: phase 1 starts every row on an artificial that has no column,
+since an artificial never re-enters. A pivot touches only the rows with a
+nonzero in the entering column, and the ratio test reads only the rows above
+the pivot tolerance, which on the plant programs here is a few rows in a
+hundred. Pricing is Dantzig's rule with a permanent switch to Bland's rule
+after a run of degenerate pivots, which guarantees termination. There is no
+external solver dependency; problem sizes here are a few hundred variables
+at most.
 """
 
 from __future__ import annotations
@@ -85,15 +90,19 @@ def check_structure(lp: LinearProgram) -> None:
 
 
 class _Tableau:
-    """Dense bounded-variable simplex state.
+    """Bounded-variable simplex state.
 
-    Column layout: structural variables 0..n-1 (shifted so lower bounds are
-    0), then one artificial per surviving row. `values` holds the current
-    value of each row's basic variable; nonbasic variables sit at 0 or at
-    their width `width[j]` as recorded in `status`.
+    `T` holds one row per surviving constraint over the structural columns
+    0..n-1 only, shifted so lower bounds are 0. Row i starts with its own
+    artificial basic, numbered n + i in `basis`; no artificial has a column,
+    because an artificial never enters: it is not at a bound while basic,
+    and once it leaves it is gone. So its column would only be updated,
+    never read. `values` holds the current value of each row's basic
+    variable; nonbasic variables sit at 0 or at their width `width[j]` as
+    recorded in `status`.
     """
 
-    AT_LOWER, AT_UPPER, BASIC, RETIRED = 0, 1, 2, 3
+    AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
 
     def __init__(self, lp: LinearProgram):
         n = lp.num_vars
@@ -117,33 +126,22 @@ class _Tableau:
 
         m = len(dense_rows)
         self.m, self.n = m, n
-        self.T = np.zeros((m, n + m))
-        if m:
-            self.T[:, :n] = np.vstack(dense_rows)
-            self.T[:, n:] = np.eye(m)
+        self.T = np.vstack(dense_rows) if m else np.zeros((0, n))
         self.values = np.array(rhs, dtype=float)
-        self.width = np.concatenate([
-            np.array(lp.upper, dtype=float) - lower,
-            np.full(m, math.inf),
-        ])
-        self.status = np.full(n + m, self.AT_LOWER, dtype=np.int8)
+        self.width = np.array(lp.upper, dtype=float) - lower
+        self.status = np.full(n, self.AT_LOWER, dtype=np.int8)
         self.basis = list(range(n, n + m))
-        for col in self.basis:
-            self.status[col] = self.BASIC
         # phase-1 prices: maximise -(sum of artificials) == sum of rows
-        self.d1 = np.concatenate([self.T[:, :n].sum(axis=0), np.zeros(m)]) if m else np.zeros(n)
-        self.d2 = np.concatenate([np.array(lp.objective, dtype=float), np.zeros(m)])
+        self.d1 = self.T.sum(axis=0)
+        self.d2 = np.array(lp.objective, dtype=float)
         self.iterations = 0
         self.degenerate_run = 0
         self.bland = False
 
-    def entering(self, d: np.ndarray, allow_artificial: bool) -> int | None:
+    def entering(self, d: np.ndarray) -> int | None:
         up = (self.status == self.AT_LOWER) & (d > TOL) & (self.width > PIVOT_TOL)
         down = (self.status == self.AT_UPPER) & (d < -TOL)
-        mask = up | down
-        if not allow_artificial:
-            mask[self.n:] = False
-        idx = np.nonzero(mask)[0]
+        idx = np.nonzero(up | down)[0]
         if idx.size == 0:
             return None
         if self.bland:
@@ -155,18 +153,18 @@ class _Tableau:
         sigma = 1.0 if self.status[j] == self.AT_LOWER else -1.0
         w = sigma * self.T[:, j]
         t, leave_row, leave_at_upper = self.width[j], -1, False
-        for i in range(self.m):
+        for i in np.nonzero(np.abs(w) > PIVOT_TOL)[0]:
             wi = w[i]
-            if wi > PIVOT_TOL:
+            if wi > 0:
                 ti = self.values[i] / wi
                 if ti < t - PIVOT_TOL or (ti < t + PIVOT_TOL and leave_row >= 0
                                           and self.basis[i] < self.basis[leave_row]):
                     t, leave_row, leave_at_upper = max(ti, 0.0), i, False
-            elif wi < -PIVOT_TOL:
-                cap = self.width[self.basis[i]]
-                if math.isinf(cap):
-                    continue
-                ti = (cap - self.values[i]) / -wi
+            else:
+                b = self.basis[i]
+                if b >= self.n or math.isinf(self.width[b]):
+                    continue  # no upper bound to hit: an artificial, or upper = inf
+                ti = (self.width[b] - self.values[i]) / -wi
                 if ti < t - PIVOT_TOL or (ti < t + PIVOT_TOL and leave_row >= 0
                                           and self.basis[i] < self.basis[leave_row]):
                     t, leave_row, leave_at_upper = max(ti, 0.0), i, True
@@ -187,24 +185,29 @@ class _Tableau:
             self.status[j] = self.AT_UPPER if sigma > 0 else self.AT_LOWER
             return None
 
-        old = self.basis[leave_row]
-        piv = self.T[leave_row, j]
-        self.T[leave_row] /= piv
-        col = self.T[:, j].copy()
-        col[leave_row] = 0.0
-        self.T -= np.outer(col, self.T[leave_row])
-        self.d1 -= self.d1[j] * self.T[leave_row]
-        self.d2 -= self.d2[j] * self.T[leave_row]
-
-        entering_value = (0.0 if sigma > 0 else self.width[j]) + sigma * t
-        self.values[leave_row] = entering_value
-        self.basis[leave_row] = j
-        self.status[j] = self.BASIC
-        if old >= self.n:
-            self.status[old] = self.RETIRED
-        else:
+        old = self.pivot(leave_row, j)
+        self.values[leave_row] = (0.0 if sigma > 0 else self.width[j]) + sigma * t
+        if old < self.n:
             self.status[old] = self.AT_UPPER if leave_at_upper else self.AT_LOWER
         return None
+
+    def pivot(self, r: int, j: int) -> int:
+        """Make j basic in row r and return the variable that left.
+
+        Only the rows with a nonzero in column j change: every other row
+        would only have zeros subtracted from it.
+        """
+        row = self.T[r]
+        row /= row[j]
+        col = self.T[:, j]
+        rows = col.nonzero()[0]
+        rows = rows[rows != r]
+        self.T[rows] -= col[rows, None] * row
+        self.d1 -= self.d1[j] * row
+        self.d2 -= self.d2[j] * row
+        old, self.basis[r] = self.basis[r], j
+        self.status[j] = self.BASIC
+        return old
 
     def drive_out_artificials(self) -> None:
         """After phase 1: pivot basic artificials out or drop redundant rows."""
@@ -213,21 +216,11 @@ class _Tableau:
             if self.basis[i] < self.n:
                 keep.append(i)
                 continue
-            row = self.T[i, :self.n]
-            j = int(np.argmax(np.abs(row)))
-            if abs(row[j]) > PIVOT_TOL:
-                old = self.basis[i]
-                self.T[i] /= self.T[i, j]
-                col = self.T[:, j].copy()
-                col[i] = 0.0
-                self.T -= np.outer(col, self.T[i])
-                self.d1 -= self.d1[j] * self.T[i]
-                self.d2 -= self.d2[j] * self.T[i]
-                was_upper = self.status[j] == self.AT_UPPER
-                self.values[i] = self.width[j] if was_upper else 0.0
-                self.basis[i] = j
-                self.status[j] = self.BASIC
-                self.status[old] = self.RETIRED
+            j = int(np.argmax(np.abs(self.T[i])))
+            if abs(self.T[i, j]) > PIVOT_TOL:
+                value = self.width[j] if self.status[j] == self.AT_UPPER else 0.0
+                self.pivot(i, j)
+                self.values[i] = value
                 keep.append(i)
             # else: redundant constraint, row dropped below
         if len(keep) < self.m:
@@ -246,15 +239,15 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
     tab = _Tableau(lp)
     if tab.status_flag == INFEASIBLE:
         return LpSolution(INFEASIBLE, None, None, 0)
-    cap = max_iterations or 2000 + 200 * (tab.n + tab.m)
+    cap = 2000 + 200 * (tab.n + tab.m) if max_iterations is None else max_iterations
 
-    for phase, d, allow_art in ((1, tab.d1, True), (2, tab.d2, False)):
+    for phase, d in ((1, tab.d1), (2, tab.d2)):
         if phase == 1 and tab.m == 0:
             continue
         while True:
             if tab.iterations > cap:
                 raise RuntimeError(f"simplex failed to converge within {cap} iterations")
-            j = tab.entering(d, allow_artificial=allow_art and phase == 1)
+            j = tab.entering(d)
             if j is None:
                 break
             verdict = tab.step(j)
@@ -269,8 +262,8 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
             tab.drive_out_artificials()
 
     x = np.zeros(tab.n)
-    x[tab.status[:tab.n] == _Tableau.AT_UPPER] = \
-        tab.width[:tab.n][tab.status[:tab.n] == _Tableau.AT_UPPER]
+    at_upper = tab.status == _Tableau.AT_UPPER
+    x[at_upper] = tab.width[at_upper]
     for i, col in enumerate(tab.basis):
         if col < tab.n:
             x[col] = tab.values[i]

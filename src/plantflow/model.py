@@ -313,9 +313,10 @@ def apply_scenario(
 ) -> EffectiveCapacities:
     """Turn a component assignment into effective capacities.
 
-    Every asset of a failed RV (state 0) gets capacity 0; everything else
-    keeps its nominal value. The semantics mode decides how node capacities
-    act on flow bounds:
+    Every asset of a failed RV (state 0) first gets capacity 0; everything
+    else keeps its nominal value. The semantics mode then decides how node
+    capacities act on flow bounds, and under edge-max a failed edge can get
+    capacity back from its end nodes (see that bullet):
 
     - ``station-throughput``: edges keep their own capacities and station
       capacities separately bound each station's bridged throughput. A
@@ -325,7 +326,12 @@ def apply_scenario(
     - ``edge-min``: each edge bound becomes min(edge, tail node, head node),
       reading a node capacity as a limit on everything touching the node.
     - ``edge-max``: the same fold with max, under which a failed station
-      never throttles a surviving edge.
+      never throttles a surviving edge, and a failed edge still carries
+      max(tail node, head node). A passive node without an explicit
+      capacity resolves to its largest incident edge's nominal capacity
+      and no RV governs it, so it keeps a failed edge open: with every
+      component down, didactic and gas still deliver 1, pressure-original
+      55 and pressure-expanded 420.
 
     Raises
     ------

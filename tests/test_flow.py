@@ -171,6 +171,22 @@ def test_all_intake_stations_failed_cuts_everything():
     assert sol.value == pytest.approx(0.0, abs=1e-9)
 
 
+# edge-max folds max(edge, tail node, head node): a failed edge gets back its
+# larger end-node capacity, and a passive end node that no RV governs never
+# fails, so with every component down these plants still deliver
+EDGE_MAX_ALL_DOWN = {"didactic": 1.0, "pressure-original": 55.0,
+                     "pressure-expanded": 420.0, "gas": 1.0}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_MAX_ALL_DOWN))
+@pytest.mark.parametrize("backend", ["lp", "maxflow"])
+def test_edge_max_keeps_flow_with_every_component_down(name, backend):
+    doc = datasets.builtin(name)
+    all_down = {rv.rv_id: 0 for rv in doc.model.rvs}
+    sol = max_processable_flow(doc.network, doc.model, all_down, mode=EDGE_MAX, backend=backend)
+    assert sol.value == pytest.approx(EDGE_MAX_ALL_DOWN[name], abs=1e-9)
+
+
 def test_full_dinic_equals_max_processable_flow():
     # Dinic over every compiled arc, called directly on the graph's topology,
     # gives max_processable_flow's optimum and arc flows bit for bit

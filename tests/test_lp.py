@@ -139,6 +139,14 @@ def test_iteration_cap_raises():
         solve_lp(p, max_iterations=1)
 
 
+def test_iteration_cap_of_zero_raises():
+    # 0 is a cap of zero pivots, not "no cap"
+    p = lp([1.0, 0.0], [((0, 1.0), (1, 1.0))], [1.0], [0.0, 0.0], [1.0, 1.0])
+    assert solve_lp(p).iterations > 0
+    with pytest.raises(RuntimeError, match="within 0 iterations"):
+        solve_lp(p, max_iterations=0)
+
+
 def random_program(rnd: random.Random) -> LinearProgram:
     """Small LP with dyadic data so float arithmetic stays representable."""
     n = rnd.randint(1, 12)

@@ -1,8 +1,9 @@
-"""Generated small staged plants: the learned cut sets and path sets change no count.
+"""Generated small staged plants: three solvers agree, and the learned sets change no count.
 
 Capacities are multiples of 1/4, so Dinic's arithmetic is exact and the
-estimators learn witnesses at any target, dyadic or not; each property
-compares them with plain evaluation of every state vector.
+estimators learn witnesses at any target, dyadic or not; the sampling
+properties compare them with plain evaluation of every state vector. The
+same exactness lets Dinic and the exact-rational simplex agree to the bit.
 """
 
 import pytest
@@ -12,8 +13,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plantflow.flow import compile_system
-from plantflow.model import MODES, ComponentModel, Edge, PlantNetwork, RandomVariable
+from plantflow.flow import build_flow_lp, compile_system, max_processable_flow
+from plantflow.lp import OPTIMAL
+from plantflow.model import (
+    MODES,
+    ComponentModel,
+    Edge,
+    PlantNetwork,
+    RandomVariable,
+    apply_scenario,
+)
 from plantflow.reliability import (
     DIRECT_METHOD,
     MARGINS_METHOD,
@@ -22,6 +31,7 @@ from plantflow.reliability import (
     estimate_failure_probability,
     sample_states,
 )
+from lp_exact import solve_lp_exact
 
 POSITIVE = st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
 QUARTERS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
@@ -69,6 +79,21 @@ def staged_plants(draw):
         for k in range(slots) if k in owners)
     target = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 0.3, 1.1]))
     return net, ComponentModel(rvs=rvs), target, draw(st.sampled_from(MODES))
+
+
+@CHECKS
+@given(staged_plants(), st.data())
+def test_dinic_float_lp_and_exact_lp_agree_in_every_mode(plant, data):
+    net, model, _, _ = plant
+    assignment = {rv.rv_id: data.draw(st.integers(0, 1)) for rv in model.rvs}
+    for mode in MODES:
+        u_dinic = max_processable_flow(net, model, assignment, mode=mode).value
+        # the LP backend raises unless the float simplex ends optimal
+        u_lp = max_processable_flow(net, model, assignment, mode=mode, backend="lp").value
+        exact = solve_lp_exact(build_flow_lp(net, apply_scenario(net, model, assignment, mode)).lp)
+        assert exact.status == OPTIMAL
+        assert abs(u_lp - u_dinic) <= 1e-9
+        assert exact.objective_value == u_dinic
 
 
 @CHECKS
