@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_EPS = 1e-12  # residual below this counts as saturated
-
 
 @dataclass(frozen=True, eq=False)
 class Topology:
@@ -22,7 +20,7 @@ class Topology:
 
     Residual arc 2a is the forward copy of input arc a and 2a+1 its reverse;
     to[r] is the vertex arc r enters; adj[v] lists the arcs leaving v in input
-    order. A zero-capacity arc has residual 0 both ways and carries 0.0.
+    order. A zero-capacity arc has residual 0 both ways and carries 0.
     """
 
     num_vertices: int
@@ -47,32 +45,36 @@ def build_topology(num_vertices: int, source: int, sink: int, tails, heads) -> T
 class MaxFlowResult:
     """value is the flow found; arc_flow[a] is the flow on input arc a.
 
-    source_side[v] says whether vertex v was reached from the source by the
-    final search, which found no augmenting path; with exact arithmetic the
+    Both are in the units of the capacities given. source_side[v] says
+    whether vertex v was reached from the source by the final search, which
+    found no augmenting path; with exact arithmetic (integer capacities) the
     arcs leaving that side are saturated and form a minimum cut. When a
     cutoff stops the search early, value is the flow at the moment the
     cutoff was met (>= cutoff), arc_flow describes that partial flow, not a
     maximum one, and source_side is None.
     """
 
-    value: float
-    arc_flow: tuple[float, ...]
+    value: int | float
+    arc_flow: tuple[int | float, ...]
     source_side: tuple[bool, ...] | None
 
 
-def max_flow(topology: Topology, caps, cutoff: float | None = None) -> MaxFlowResult:
+def max_flow(topology: Topology, caps, cutoff: int | float | None = None) -> MaxFlowResult:
     """Maximum flow from source to sink with caps[a] on input arc a.
 
-    cutoff, when given, stops the search as soon as the accumulated flow
-    reaches it (exact >= comparison, no tolerance), which makes threshold
-    predicates cheap without changing their outcome.
+    The search pushes the numbers it is given and treats an arc as usable
+    while its residual is > 0, so with Python ints every push and total is
+    exact; with floats the arithmetic rounds. cutoff, when given, stops the
+    search as soon as the accumulated flow reaches it (exact >= comparison,
+    no tolerance), which makes threshold predicates cheap without changing
+    their outcome.
     """
     n, source, sink = topology.num_vertices, topology.source, topology.sink
     to, adj = topology.to, topology.adj
-    res = [0.0] * len(to)
-    res[0::2] = np.asarray(caps, dtype=np.float64).tolist()
+    res = [0] * len(to)
+    res[0::2] = np.asarray(caps).tolist()
 
-    flow = 0.0
+    flow = 0
     while True:
         level = [-1] * n
         level[source] = 0
@@ -80,7 +82,7 @@ def max_flow(topology: Topology, caps, cutoff: float | None = None) -> MaxFlowRe
         for v in queue:  # grows while iterated: first in, first out
             for a in adj[v]:
                 w = to[a]
-                if level[w] < 0 and res[a] > _EPS:
+                if level[w] < 0 and res[a] > 0:
                     level[w] = level[v] + 1
                     queue.append(w)
         if level[sink] < 0:
@@ -104,7 +106,7 @@ def max_flow(topology: Topology, caps, cutoff: float | None = None) -> MaxFlowRe
             while cursor[v] < len(adj[v]):
                 a = adj[v][cursor[v]]
                 w = to[a]
-                if res[a] > _EPS and level[w] == level[v] + 1:
+                if res[a] > 0 and level[w] == level[v] + 1:
                     path.append(a)
                     v = w
                     break

@@ -11,7 +11,8 @@ Two interchangeable backends compute the same quantity:
 - "maxflow": the equivalent layered graph, one copy of every node per stage
   label, with edges as intra-layer arcs and stations as source, bridge, or
   sink arcs. A station's capacity bounds its arc; Dinic's algorithm does the
-  rest.
+  rest, in exact integer arithmetic (see LayeredGraph), and its results
+  leave this module as the nearest floats.
 
 Both backends honour the three node-capacity semantics described at
 model.apply_scenario, each with its own scenario fold: the LP reads
@@ -143,10 +144,17 @@ class LayeredGraph:
     (tail) and end_caps[1] (head), owned by end_rvs; the station arcs then
     get a capacity larger than any achievable flow, standing in for
     "unbounded" without infinities. topology holds the arcs' endpoints.
+
+    Every finite float is an integer times a power of two, so nominal and
+    end_caps hold whole numbers of 2**-shift units, with shift the smallest
+    that makes every capacity of the graph whole: int64 when every count
+    fits, Python ints in object arrays otherwise. Dinic receives them as
+    Python ints, so its arithmetic is exact.
     """
 
     topology: dinic.Topology
     mode: str
+    shift: int
     nominal: np.ndarray
     arc_rv: np.ndarray
     kinds: tuple[str, ...]  # "edge" | "source" | "bridge" | "sink"
@@ -159,8 +167,8 @@ class LayeredGraph:
         return self.topology.num_vertices
 
     def capacities(self, states) -> np.ndarray:
-        """Arc capacities under a 0/1 state vector ordered like the model."""
-        ext = np.ones(len(states) + 1)  # ext[-1] = 1 serves arcs no RV owns
+        """Arc capacities, in 2**-shift units, under a 0/1 state vector ordered like the model."""
+        ext = np.ones(len(states) + 1, dtype=np.int64)  # ext[-1] = 1 serves arcs no RV owns
         ext[:-1] = states
         caps = self.nominal * ext[self.arc_rv]
         if self.mode != STATION_THROUGHPUT:
@@ -209,7 +217,7 @@ def build_layered_graph(
     arc_rv = [owner.get(e.edge_id, -1) for e in edges]
     kinds = ["edge"] * len(edges)
     refs: list[int | str] = [e.edge_id for e in edges]
-    end_caps = np.array([[node_cap[e.tail] for e in edges], [node_cap[e.head] for e in edges]])
+    end_caps = [[node_cap[e.tail] for e in edges], [node_cap[e.head] for e in edges]]
     end_rvs = np.array([[owner.get(e.tail, -1) for e in edges],
                         [owner.get(e.head, -1) for e in edges]], dtype=np.int64)
 
@@ -224,14 +232,22 @@ def build_layered_graph(
             refs.append(s)
             nominal.append(node_cap[s] if bound_stations else huge)
             arc_rv.append(owner.get(s, -1) if bound_stations else -1)
+
+    ratios = {c: float(c).as_integer_ratio() for c in {*nominal, *node_cap}}  # dens: powers of 2
+    shift = max(den.bit_length() - 1 for _, den in ratios.values())
+    units = {c: num << (shift - den.bit_length() + 1) for c, (num, den) in ratios.items()}
+    # int64 folds fastest; Python ints (object) hold any larger count exactly
+    dtype = np.int64 if max(units.values()) < 2 ** 63 else object
     return LayeredGraph(
         topology=dinic.build_topology(layers * n + 2, source, sink, tails, heads), mode=mode,
-        nominal=np.array(nominal), arc_rv=np.array(arc_rv, dtype=np.int64),
-        kinds=tuple(kinds), refs=tuple(refs), end_caps=end_caps, end_rvs=end_rvs)
+        shift=shift, nominal=np.array([units[c] for c in nominal], dtype=dtype),
+        arc_rv=np.array(arc_rv, dtype=np.int64), kinds=tuple(kinds), refs=tuple(refs),
+        end_caps=np.array([[units[c] for c in row] for row in end_caps], dtype=dtype),
+        end_rvs=end_rvs)
 
 
-def _solve(graph: LayeredGraph, states, cutoff: float | None = None) -> dinic.MaxFlowResult:
-    """Dinic on the compiled topology; each call resets only the residuals."""
+def _solve(graph: LayeredGraph, states, cutoff: int | None = None) -> dinic.MaxFlowResult:
+    """Dinic on the compiled topology, in 2**-shift units; each call resets only the residuals."""
     return dinic.max_flow(graph.topology, caps=graph.capacities(states), cutoff=cutoff)
 
 
@@ -284,38 +300,15 @@ def max_processable_flow(
 
     graph = build_layered_graph(net, model, mode)
     result = _solve(graph, assignment_states(model, assignment))
+    unit = 2 ** graph.shift
     edge_flow, station_flow = {}, {}
     for kind, ref, f in zip(graph.kinds, graph.refs, result.arc_flow):
-        (edge_flow if kind == "edge" else station_flow)[ref] = f
-    return FlowSolution(result.value, mode, backend, edge_flow, station_flow)
+        (edge_flow if kind == "edge" else station_flow)[ref] = f / unit
+    return FlowSolution(result.value / unit, mode, backend, edge_flow, station_flow)
 
 
 # ---------------------------------------------------------------------------
 # Compiled evaluator for repeated scenario queries
-
-
-_MAX_SCALE_BITS = 39  # 2**-39 > dinic._EPS, so no nonzero residual reads as saturated
-
-
-def _exact_dyadic(capacities) -> bool:
-    """True when Dinic's float arithmetic on these capacities is exact.
-
-    That holds when every capacity is an integer multiple of one 2**-k with
-    k <= _MAX_SCALE_BITS and they sum to less than 2**53 such units: every
-    residual, push and flow total is then such a multiple below 2**53 units,
-    so each float operation is exact, and the smallest nonzero residual
-    exceeds dinic._EPS. The target need not have this form: flow totals are
-    only compared with it (an exact >=), never combined with it.
-    """
-    values = [float(v) for v in capacities]
-    if not all(map(math.isfinite, values)):
-        return False
-    ratios = [v.as_integer_ratio() for v in values]
-    k = max((den.bit_length() - 1 for _, den in ratios), default=0)  # powers of 2
-    if k > _MAX_SCALE_BITS:
-        return False
-    units = sum(abs(num) << (k - den.bit_length() + 1) for num, den in ratios)
-    return units < 2 ** 53
 
 
 def rv_bitmasks(rows: np.ndarray) -> list[int]:
@@ -334,14 +327,14 @@ class SystemFunction:
     """Survival predicate over component states, compiled once per model.
 
     evaluate() answers "does throughput reach the target" for a 0/1 state
-    vector ordered like rv_ids, using an exact >= comparison with no
-    tolerance. The maxflow backend vectorises capacity updates and lets
-    Dinic stop at the target; the lp backend re-solves the program each call
-    and exists as a slow cross-check.
+    vector ordered like rv_ids. The maxflow backend vectorises capacity
+    updates and lets Dinic stop at the target; the lp backend re-solves the
+    program each call and exists as a slow cross-check.
 
-    decide() gives the same verdict plus the set of RVs that proves it. It
-    needs exact, which the compile step sets for the maxflow backend when
-    Dinic handles the capacities without rounding.
+    The maxflow verdict compares exact integers: Dinic's flow in units of
+    2**-graph.shift against cutoff, the least such integer >= target. Values
+    that leave this class (flow_value, arc_profile) are the nearest floats.
+    decide() gives the same verdict plus the set of RVs that proves it.
     """
 
     def __init__(
@@ -361,32 +354,31 @@ class SystemFunction:
         self.mode = mode
         self.backend = backend
         self.rv_ids = tuple(rv.rv_id for rv in model.rvs)
-        self.supports_margins = backend == MAXFLOW_BACKEND and mode == STATION_THROUGHPUT
-        g = self.graph
-        caps = [*g.nominal, *(g.end_caps.ravel() if mode != STATION_THROUGHPUT else ())]
-        self.exact = backend == MAXFLOW_BACKEND and _exact_dyadic(caps)
-        self._reads = g.reads(len(self.rv_ids))
-        to = g.topology.to
+        num, den = self.target.as_integer_ratio()
+        self.cutoff = -((-num << self.graph.shift) // den)  # ceil(target * 2**shift)
+        self._unit = 2 ** self.graph.shift
+        self._reads = self.graph.reads(len(self.rv_ids))
+        to = self.graph.topology.to
         self._tails, self._heads = np.array(to[1::2]), np.array(to[0::2])
 
     def flow_value(self, states) -> float:
         """Throughput for one state vector."""
         if self.backend == LP_BACKEND:
             return self._lp_value(states)
-        return _solve(self.graph, states).value
+        return _solve(self.graph, states).value / self._unit
 
     def arc_profile(self, states) -> tuple[float, np.ndarray]:
         """Full maximum flow and the per-arc flows achieving it."""
         if self.backend == LP_BACKEND:
             raise PlantDataError("arc profiles need the maxflow backend")
         result = _solve(self.graph, states)
-        return result.value, np.array(result.arc_flow)
+        return result.value / self._unit, np.array([f / self._unit for f in result.arc_flow])
 
     def evaluate(self, states) -> bool:
         """True when the plant still reaches its target throughput."""
         if self.backend == LP_BACKEND:
             return self._lp_value(states) >= self.target
-        return _solve(self.graph, states, self.target).value >= self.target
+        return _solve(self.graph, states, self.cutoff).value >= self.cutoff
 
     def decide(self, states) -> tuple[bool, int]:
         """evaluate() plus the RV bitmask (bit j is RV j) that proves it.
@@ -398,15 +390,14 @@ class SystemFunction:
         source side: a cut set, whose capacity no vector with those RVs down
         can raise above this flow, so every such vector fails. An arc reads
         its owning RV and, in the edge-min and edge-max modes, the RVs of its
-        end nodes. The argument needs exact arithmetic: PlantDataError
-        unless self.exact.
+        end nodes. Both arguments rest on the exact integer arithmetic.
         """
-        if not self.exact:
-            raise PlantDataError("witnesses need exact capacities; see exact")
-        result = _solve(self.graph, states, self.target)
-        up = result.value >= self.target
+        if self.backend == LP_BACKEND:
+            raise PlantDataError("witnesses need the maxflow backend")
+        result = _solve(self.graph, states, self.cutoff)
+        up = result.value >= self.cutoff
         if up:
-            arcs = np.array(result.arc_flow) > 0.0
+            arcs = np.array(result.arc_flow) > 0
             keep = np.asarray(states) == 1.0
         else:
             side = np.array(result.source_side)
@@ -419,21 +410,6 @@ class SystemFunction:
         sol = max_processable_flow(self.net, self.model, assignment,
                                    mode=self.mode, backend=LP_BACKEND)
         return sol.value
-
-    def rv_arc_caps(self) -> np.ndarray:
-        """Per rv: total nominal capacity of the arcs its failure removes."""
-        return self._per_rv(self.graph.nominal)
-
-    def rv_flow_through(self, arc_flows: np.ndarray) -> np.ndarray:
-        """Per rv: how much of a given flow runs over arcs it owns."""
-        return self._per_rv(arc_flows)
-
-    def _per_rv(self, arc_values: np.ndarray) -> np.ndarray:
-        if not self.supports_margins:
-            raise PlantDataError("margins need the maxflow backend in station-throughput mode")
-        owned = self.graph.arc_rv >= 0
-        return np.bincount(self.graph.arc_rv[owned], weights=arc_values[owned],
-                           minlength=len(self.rv_ids))
 
 
 def compile_system(

@@ -19,24 +19,13 @@ in component states, so every solve that decides a state vector also yields
 a witness (SystemFunction.decide): a path set when the plant survives (any
 vector with those RVs up survives) or a cut set when it fails (any vector
 with those RVs down fails). The estimators keep these sets and solve only
-the vectors that none of them decides. The importance estimator also uses
-max-flow perturbation bounds ("margins") on the flips the sets leave open.
-The brute-force "direct" method evaluates every vector and is the
-independent reference.
+the vectors that none of them decides. The brute-force "direct" method
+evaluates every vector and is the independent reference.
 
-Float policy: survival is an exact `flow >= target` with no tolerance, and
-dinic._EPS (1e-12) is an absolute threshold on residuals. The learned sets
-are only sound when Dinic's arithmetic is exact, so they are used only when
-the compile step finds every capacity to be a multiple of one 2**-k with
-k <= 39 and the capacities to sum below 2**53 such units
-(SystemFunction.exact; true for every built-in). The target may be any
-finite number, since flow totals are only compared with it. Otherwise no
-set is learned and every undecided vector is solved. The importance
-estimator's perturbation bounds and monotone flips act on any data; with
-capacities that are not exactly representable in binary floating point
-they could in principle act at a boundary, in which case use
-method="direct" as the reference. On exact data "margins" and "direct"
-return bit-identical reports.
+Survival compares exact integers (the max-flow backend scales every
+capacity to a whole number of 2**-k units), so the learned sets are sound on
+any finite data, and "margins" and "direct" return bit-identical reports.
+The lp backend learns nothing and solves every undecided vector.
 """
 
 from __future__ import annotations
@@ -141,45 +130,40 @@ class _Witnesses:
 
     A state vector is given by its failed-RV mask (bit j is RV j). It fails
     when its mask contains a learned cut set and survives when it misses a
-    learned path set; otherwise survives() solves it and keeps the solve's
-    own set. Learning needs SystemFunction.exact and stops after
-    _WITNESSES_MAX solves, which bounds the scan that precedes each solve;
-    past that cap, and on data that is not exact, every undecided vector
-    goes to evaluate(). At their 3%
-    down-rates the built-ins learn about 130 sets in a 100k-sample
-    reliability run and gas about 260 in a 20k-sample importance run, while
-    a plant that fails in most samples keeps finding new cut sets.
+    learned path set; otherwise decide() solves it and keeps the solve's
+    own set. The sets are sound on any data, since the max-flow verdict is
+    exact. Learning stops after _WITNESSES_MAX solves, which bounds the scan
+    that precedes each solve; past that cap, and on the lp backend, every
+    undecided vector goes to evaluate(), and the vector's own up RVs (or
+    failed RVs) stand as its set. At their 3% down-rates the built-ins learn
+    about 130 sets in a 100k-sample reliability run and gas about 260 in a
+    20k-sample importance run, while a plant that fails in most samples
+    keeps finding new cut sets.
     """
 
     def __init__(self, sf: SystemFunction):
         self.sf = sf
         self.cuts: list[int] = []
         self.paths: list[int] = []
-        self.room = _WITNESSES_MAX if sf.exact else 0
+        self.room = _WITNESSES_MAX if sf.backend == MAXFLOW_BACKEND else 0
+        self.num_rvs = len(sf.rv_ids)
 
-    def lookup(self, down: int) -> tuple[bool, int] | None:
-        """The verdict a learned set forces on this mask, with that set."""
+    def decide(self, down: int) -> tuple[bool, int]:
+        """The verdict on the vector with this failed mask, and a set that forces it."""
         for path in self.paths:
             if not path & down:
                 return True, path
         for cut in self.cuts:
             if cut & down == cut:
                 return False, cut
-        return None
-
-    def survives(self, down: int, states: np.ndarray) -> bool:
-        """The verdict on one vector, given as its failed mask and its states."""
-        found = self.lookup(down)
-        return found[0] if found is not None else self.solve(down, states)
-
-    def solve(self, down: int, states: np.ndarray) -> bool:
-        """survives() for a vector that lookup() leaves open."""
+        states = (~mask_flags(down, self.num_rvs)).astype(np.float64)
         if not self.room:
-            return self.sf.evaluate(states)
+            up = self.sf.evaluate(states)
+            return up, ((1 << self.num_rvs) - 1) ^ down if up else down
         self.room -= 1
         up, mask = self.sf.decide(states)
         (self.paths if up else self.cuts).append(mask)
-        return up
+        return up, mask
 
 
 def _count_failures(args) -> int:
@@ -188,8 +172,8 @@ def _count_failures(args) -> int:
                         mode=query.mode, backend=query.backend)
     known = _Witnesses(sf)
     failures = 0
-    for _, states, failed in _iter_samples(model, query.seed, lo, hi):
-        if not known.survives(failed, states):
+    for _, _, failed in _iter_samples(model, query.seed, lo, hi):
+        if not known.decide(failed)[0]:
             failures += 1
     return failures
 
@@ -216,37 +200,16 @@ def estimate_failure_probability(
                              failure_probability=p_hat, std_error=se)
 
 
-def _margins_open(sf: SystemFunction, profile, base_up: bool, arms: np.ndarray,
-                  counts: np.ndarray, caps_gain: np.ndarray) -> np.ndarray:
-    """The arms that max-flow margins leave open; counts the survivors they settle.
-
-    Failing component j removes at most the flow through its arcs, and
-    restoring it adds at most their capacity.
-    """
-    value, arc_flows = profile
-    if base_up:
-        safe = arms & (value - sf.rv_flow_through(arc_flows) >= sf.target)
-        counts += safe
-        return arms & ~safe
-    return arms & (value + caps_gain >= sf.target)
-
-
 def _importance_counts(args) -> tuple[np.ndarray, np.ndarray]:
     net, model, query, method, lo, hi = args
     sf = compile_system(net, model, query.target_flow,
                         mode=query.mode, backend=query.backend)
     n_rvs = len(model)
-    target = query.target_flow
     plus = np.zeros(n_rvs, dtype=np.int64)
     minus = np.zeros(n_rvs, dtype=np.int64)
-    use_margins = method == MARGINS_METHOD and sf.supports_margins
     known = _Witnesses(sf)
-    caps_gain = sf.rv_arc_caps() if use_margins else None
-    every = np.ones(n_rvs, dtype=bool)
 
     for down, states, failed in _iter_samples(model, query.seed, lo, hi):
-        up = ~down
-
         if method == DIRECT_METHOD:
             for j in range(n_rvs):
                 row = states.copy()
@@ -258,50 +221,20 @@ def _importance_counts(args) -> tuple[np.ndarray, np.ndarray]:
                     minus[j] += 1
             continue
 
-        # Each arm flips one component. A learned set that decides the base
-        # also decides every flip outside it, which still meets the set.
-        profile = None
-        found = known.lookup(failed)
-        if found is not None:
-            base_up, witness = found
-            open_arms = mask_flags(witness, n_rvs)
-        elif use_margins:
-            profile = sf.arc_profile(states)
-            base_up = profile[0] >= target
-            open_arms = every
-        else:
-            base_up = known.solve(failed, states)
-            open_arms = every
-
+        # Each arm flips one component. The set that decides the base also
+        # decides every flip outside it, which still meets the set.
+        base_up, witness = known.decide(failed)
+        open_arms = mask_flags(witness, n_rvs)
         if base_up:
             # flipping any component up keeps the system up
             plus += 1
-            minus += down | (up & ~open_arms)  # failed components: minus arm = base
-            arms, counts = up & open_arms, minus
+            minus += down | ~open_arms  # failed components: minus arm = base
+            arms, counts = ~down & open_arms, minus
         else:
             # system already down: only restoring a failed component can help
             arms, counts = down & open_arms, plus
-
-        # settle what is cheap first: margins once a profile exists, then the sets
-        if profile is not None:
-            arms = _margins_open(sf, profile, base_up, arms, counts, caps_gain)
-        pending = []
         for j in np.flatnonzero(arms).tolist():
-            found = known.lookup(failed ^ (1 << j))
-            if found is None:
-                pending.append(j)
-            elif found[0]:
-                counts[j] += 1
-        if pending and use_margins and profile is None:
-            profile = sf.arc_profile(states)
-            arms = np.zeros(n_rvs, dtype=bool)
-            arms[pending] = True
-            pending = np.flatnonzero(
-                _margins_open(sf, profile, base_up, arms, counts, caps_gain)).tolist()
-        for j in pending:
-            row = states.copy()
-            row[j] = 1.0 - row[j]
-            if known.solve(failed ^ (1 << j), row):
+            if known.decide(failed ^ (1 << j))[0]:
                 counts[j] += 1
     return plus, minus
 
@@ -315,9 +248,11 @@ def birnbaum_importance(
 ) -> ImportanceReport:
     """Birnbaum importance for every component, common random numbers.
 
-    method "margins" (default) skips evaluations whose outcome is forced;
-    "direct" evaluates both arms for every component and sample. Both give
-    bit-identical reports; direct is the slow reference.
+    method "margins" (default) settles each sample's base vector and then
+    only the flips its deciding set leaves open, through the learned cut
+    sets and path sets; "direct" evaluates both arms for every component
+    and sample. Both give bit-identical reports; direct is the slow
+    reference.
     """
     if method not in (MARGINS_METHOD, DIRECT_METHOD):
         raise PlantDataError(f"unknown importance method {method!r}")

@@ -7,6 +7,7 @@ solver and an external LP library. It is the anchor the backends are
 measured against.
 """
 
+import math
 import random
 
 import numpy as np
@@ -98,7 +99,8 @@ def test_assignment_without_model_rejected():
 def test_didactic_layered_graph_shape():
     doc = datasets.builtin("didactic")
     g = build_layered_graph(doc.network, doc.model)
-    caps = g.capacities(np.ones(len(doc.model)))
+    unit = 2 ** g.shift
+    caps = [c / unit for c in g.capacities(np.ones(len(doc.model)))]
     # 3 transition layers x 14 nodes + super source and sink
     assert g.num_vertices == 3 * 14 + 2
     kinds = {}
@@ -189,25 +191,29 @@ def test_edge_max_keeps_flow_with_every_component_down(name, backend):
 
 def test_full_dinic_equals_max_processable_flow():
     # Dinic over every compiled arc, called directly on the graph's topology,
-    # gives max_processable_flow's optimum and arc flows bit for bit
+    # gives max_processable_flow's optimum and arc flows bit for bit, once
+    # its whole 2**-shift units are divided back into floats
     doc = datasets.builtin("didactic")
     rnd = random.Random(11)
     for mode in (STATION_THROUGHPUT, EDGE_MIN, EDGE_MAX):
         g = build_layered_graph(doc.network, doc.model, mode)
+        unit = 2 ** g.shift
         for _ in range(25):
             a = {rv.rv_id: (0 if rnd.random() < 0.2 else 1)
                  for rv in doc.model.rvs}
             caps = g.capacities([a[rv.rv_id] for rv in doc.model.rvs])
             full = dinic_max_flow(g.topology, caps=caps)
             sol = max_processable_flow(doc.network, doc.model, a, mode=mode)
-            assert full.value == sol.value
-            assert list(full.arc_flow) == [*sol.edge_flow.values(), *sol.station_flow.values()]
+            assert full.value / unit == sol.value
+            assert [f / unit for f in full.arc_flow] == \
+                [*sol.edge_flow.values(), *sol.station_flow.values()]
 
 
 def test_dinic_call_contract_read_by_the_benchmark_trace(monkeypatch):
     # the benchmark's traced run (bench/spans.py) wraps dinic.max_flow and
     # reads each call's arc count from the `caps` keyword, its cutoff from
-    # the `cutoff` keyword and the result's .value; pin exactly that
+    # the `cutoff` keyword and the result's .value; pin exactly that. The
+    # cutoff and the value are ints in the graph's 2**-shift units
     calls = []
     real = dinic.max_flow
 
@@ -224,11 +230,12 @@ def test_dinic_call_contract_read_by_the_benchmark_trace(monkeypatch):
     fn.arc_profile(states)
     max_processable_flow(doc.network, doc.model)
     assert len(calls) == 3
-    for (_, kwargs, out), cutoff in zip(calls, (0.5, None, None)):
+    assert fn.cutoff == 0.5 * 2 ** fn.graph.shift
+    for (_, kwargs, out), cutoff in zip(calls, (fn.cutoff, None, None)):
         assert set(kwargs) == {"caps", "cutoff"}
         assert kwargs["cutoff"] == cutoff
         assert len(kwargs["caps"]) == fn.graph.nominal.size
-        assert isinstance(out.value, float)
+        assert isinstance(out.value, int)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +388,6 @@ def test_repairing_never_hurts():
 def test_system_function_matches_direct_solves():
     doc = datasets.builtin("gas")
     fn = compile_system(doc.network, doc.model, target=0.5)
-    assert fn.supports_margins
     rnd = random.Random(31)
     for _ in range(25):
         states = np.array([0.0 if rnd.random() < 0.1 else 1.0
@@ -409,7 +415,6 @@ def test_system_function_lp_backend_agrees():
         fast = compile_system(doc.network, doc.model, target=1.0, mode=mode)
         slow = compile_system(doc.network, doc.model, target=1.0, mode=mode,
                               backend="lp")
-        assert not slow.supports_margins
         for _ in range(8):
             states = np.array([0.0 if rnd.random() < 0.2 else 1.0
                                for _ in doc.model.rvs])
@@ -418,31 +423,57 @@ def test_system_function_lp_backend_agrees():
 
 @pytest.mark.parametrize("name", datasets.BUILTINS)
 def test_every_builtin_has_exact_arithmetic(name):
+    # the compile step holds every capacity as a whole number of 2**-shift
+    # units, and each divides back to the document's float exactly
     doc = datasets.builtin(name)
+    net = doc.network
+    m = len(net.edges)
     for mode in MODES:
-        fn = compile_system(doc.network, doc.model, doc.defaults.target_flow, mode=mode)
-        assert fn.exact
-    assert not compile_system(doc.network, doc.model, doc.defaults.target_flow,
-                              backend="lp").exact
+        g = compile_system(net, doc.model, doc.defaults.target_flow, mode=mode).graph
+        unit = 2 ** g.shift
+        assert g.nominal.dtype == g.end_caps.dtype == np.int64  # every count fits
+        assert [c / unit for c in g.nominal[:m]] == [e.capacity for e in net.edges]
+        assert [c / unit for c in g.end_caps[0]] == \
+            [net.resolved_node_capacity(e.tail) for e in net.edges]
+        assert [c / unit for c in g.end_caps[1]] == \
+            [net.resolved_node_capacity(e.head) for e in net.edges]
+    # the lp backend gives verdicts only, never a witness
+    slow = compile_system(net, doc.model, doc.defaults.target_flow, backend="lp")
+    with pytest.raises(PlantDataError, match="maxflow"):
+        slow.decide(np.ones(len(doc.model)))
 
 
-def test_exactness_needs_dyadic_capacities_and_a_bounded_sum():
-    micro = micro_plant()  # edge 0.7, stations 1.0
+def test_verdict_is_exact_where_float_sums_round():
+    # 0.1 + 0.2 rounds up in floats; the exact sum of the two capacities
+    # falls short of it, so the plant fails, while the reported throughput
+    # is the nearest float to that exact sum
+    net = PlantNetwork(num_nodes=2, num_stages=2, stations=((1,), (2,)),
+                       node_capacity={1: 1.0, 2: 1.0},
+                       edges=(Edge("a", 1, 2, 1, 0.1), Edge("b", 1, 2, 1, 0.2)))
+    model = ComponentModel(rvs=(RandomVariable("a", 0.1, ("a",)),
+                                RandomVariable("b", 0.1, ("b",))))
+    assert max_processable_flow(net, model).value == 0.30000000000000004 == 0.1 + 0.2
+    fn = compile_system(net, model, target=0.1 + 0.2)
+    assert fn.flow_value(np.ones(2)) == 0.1 + 0.2
+    assert not fn.evaluate(np.ones(2))
+    assert fn.decide(np.ones(2)) == (False, 0)  # the empty cut set: nothing survives
+    assert compile_system(net, model, target=0.3).evaluate(np.ones(2))
+
+
+def test_tiny_capacity_still_carries_flow():
+    # no residual counts as saturated before it is 0
+    net = PlantNetwork(num_nodes=2, num_stages=2, stations=((1,), (2,)),
+                       node_capacity={1: 1.0, 2: 1.0},
+                       edges=(Edge("e1", 1, 2, 1, 1e-13),))
     model = ComponentModel(rvs=(RandomVariable("e", 0.1, ("e1",)),))
-    assert not compile_system(micro, model, target=0.5).exact
-    quarter = PlantNetwork(num_nodes=2, num_stages=2, stations=((1,), (2,)),
-                           node_capacity={1: 1.0, 2: 2.0 ** 30},
-                           edges=(Edge("e1", 1, 2, 1, 0.75),))
-    # the target is only compared with flow totals, so any finite one will do
-    for target in (0.5, 0.1, 2.0 ** -40):
-        assert compile_system(quarter, model, target=target).exact
-    # 2**30 plus a 2**-23 unit: more than 2**53 units in all
-    fine = PlantNetwork(num_nodes=2, num_stages=2, stations=((1,), (2,)),
-                        node_capacity={1: 1.0, 2: 2.0 ** 30},
-                        edges=(Edge("e1", 1, 2, 1, 2.0 ** -23),))
-    assert not compile_system(fine, model, target=0.5).exact
-    with pytest.raises(PlantDataError, match="exact"):
-        compile_system(micro, model, target=0.5).decide(np.ones(1))
+    for backend in ("lp", "maxflow"):
+        assert max_processable_flow(net, model, backend=backend).value == 1e-13
+    fn = compile_system(net, model, target=1e-13)
+    assert fn.evaluate(np.ones(1))
+    assert not fn.evaluate(np.zeros(1))
+    # the cutoff rounds a target between two unit counts up, never down
+    above = compile_system(net, model, target=math.nextafter(1e-13, 1.0))
+    assert not above.evaluate(np.ones(1))
 
 
 @pytest.mark.parametrize("name", datasets.BUILTINS)

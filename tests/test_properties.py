@@ -1,11 +1,16 @@
-"""Generated small staged plants: three solvers agree, and the learned sets change no count.
+"""Generated small staged plants: four solvers agree, the system function is
+monotone, and the learned sets change no count.
 
-Capacities are multiples of 1/4, so Dinic's arithmetic is exact and the
-estimators learn witnesses at any target, dyadic or not; the sampling
-properties compare them with plain evaluation of every state vector. The
-same exactness lets Dinic and the exact-rational simplex agree to the bit.
+Capacities mix multiples of 1/4 with decimals such as 0.1 and 1.1, which
+binary floats cannot hold exactly. Dinic still computes exactly, in whole
+units of the plant's 2**-k, so the estimators learn witnesses on every
+plant and at any target; the sampling properties compare them with plain
+evaluation of every state vector. Dinic's throughput is the exact optimum
+rounded once to the nearest float, as is the exact-rational simplex's, so
+the two agree to the bit.
 """
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -33,8 +38,8 @@ from plantflow.reliability import (
 )
 from lp_exact import solve_lp_exact
 
-POSITIVE = st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
-QUARTERS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
+POSITIVE = st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 0.1, 0.3, 1.1])
+CAPACITIES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 0.1, 0.3, 1.1])
 CHECKS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
@@ -58,7 +63,7 @@ def staged_plants(draw):
     node_capacity = {v: draw(POSITIVE) for group in stations for v in group}
     for v in passive:
         if draw(st.booleans()):
-            node_capacity[v] = draw(QUARTERS)
+            node_capacity[v] = draw(CAPACITIES)
 
     edges = []
     for i in range(draw(st.integers(num_stages - 1, 8))):
@@ -67,7 +72,7 @@ def staged_plants(draw):
         tail = draw(st.sampled_from(stations[m - 1] + (() if first else tuple(passive))))
         head = draw(st.sampled_from(stations[m] + (() if first else tuple(passive))))
         if head != tail:
-            edges.append(Edge(f"e{i}", tail, head, m, draw(QUARTERS)))
+            edges.append(Edge(f"e{i}", tail, head, m, draw(CAPACITIES)))
     net = PlantNetwork(num_nodes, num_stages, tuple(stations), node_capacity, tuple(edges))
 
     assets = [e.edge_id for e in edges] + list(range(1, num_nodes + 1))
@@ -101,7 +106,6 @@ def test_dinic_float_lp_and_exact_lp_agree_in_every_mode(plant, data):
 def test_learned_sets_count_like_direct_evaluation(plant, seed):
     net, model, target, mode = plant
     fn = compile_system(net, model, target, mode=mode)
-    assert fn.exact
     q = ReliabilityQuery(target, mode=mode, samples=80, seed=seed)
     rep = estimate_failure_probability(net, model, q)
     direct = sum(not fn.evaluate(sample_states(model, seed, i)) for i in range(q.samples))
@@ -116,3 +120,38 @@ def test_margins_importance_equals_direct_importance(plant, seed):
     margins = birnbaum_importance(net, model, q, method=MARGINS_METHOD)
     direct = birnbaum_importance(net, model, q, method=DIRECT_METHOD)
     assert margins.entries == direct.entries
+
+
+@CHECKS
+@given(staged_plants(), st.data())
+def test_raising_a_failed_component_never_hurts(plant, data):
+    # every learned cut set and path set rests on this monotonicity
+    net, model, target, mode = plant
+    fn = compile_system(net, model, target, mode=mode)
+    states = np.array([data.draw(st.sampled_from([0.0, 1.0])) for _ in model.rvs])
+    down = np.flatnonzero(states == 0.0)
+    if not down.size:
+        return
+    raised = states.copy()
+    raised[data.draw(st.sampled_from(down.tolist()))] = 1.0
+    assert fn.flow_value(raised) >= fn.flow_value(states)
+    assert fn.evaluate(raised) >= fn.evaluate(states)
+
+
+@CHECKS
+@given(staged_plants(), st.data())
+def test_scipy_highs_agrees_with_dinic_in_every_mode(plant, data):
+    optimize = pytest.importorskip("scipy.optimize")
+    net, model, _, _ = plant
+    assignment = {rv.rv_id: data.draw(st.integers(0, 1)) for rv in model.rvs}
+    for mode in MODES:
+        lp = build_flow_lp(net, apply_scenario(net, model, assignment, mode)).lp
+        a_eq = np.zeros((len(lp.rows), lp.num_vars))
+        for i, row in enumerate(lp.rows):
+            for j, c in row:
+                a_eq[i, j] += c
+        out = optimize.linprog(-np.array(lp.objective), A_eq=a_eq, b_eq=lp.rhs,
+                               bounds=list(zip(lp.lower, lp.upper)), method="highs")
+        assert out.status == 0
+        u_dinic = max_processable_flow(net, model, assignment, mode=mode).value
+        assert abs(-out.fun - u_dinic) <= 1e-9

@@ -1,5 +1,5 @@
 """Monte Carlo reliability and Birnbaum importance: determinism, the
-margins fast path against plain double evaluation, and variance behaviour.
+learned-set fast path against plain double evaluation, and variance behaviour.
 """
 
 import math
@@ -107,7 +107,6 @@ def test_sample_assignment_replays_the_same_sample():
 def test_learned_sets_count_failures_like_direct_recount(name, mode):
     doc = datasets.builtin(name)
     fn = compile_system(doc.network, doc.model, doc.defaults.target_flow, mode=mode)
-    assert fn.exact
     for seed in (5, 77):
         q = ReliabilityQuery(doc.defaults.target_flow, mode=mode, samples=600, seed=seed)
         rep = estimate_failure_probability(doc.network, doc.model, q)
@@ -116,40 +115,58 @@ def test_learned_sets_count_failures_like_direct_recount(name, mode):
         assert rep.failures == direct
 
 
-def test_inexact_plant_learns_nothing_and_counts_like_direct(monkeypatch):
-    # 0.1 + 0.2 != 0.3 in binary floating point: no witness may be trusted
+def _two_edge_plant(a, b, station):
+    """Edges a and b in parallel between two stations, each with its own RV."""
     net = PlantNetwork(
         num_nodes=2, num_stages=2, stations=((1,), (2,)),
-        node_capacity={1: 1.0, 2: 1.0},
-        edges=(Edge("a", 1, 2, 1, 0.1), Edge("b", 1, 2, 1, 0.2)),
+        node_capacity={1: station, 2: station},
+        edges=(Edge("a", 1, 2, 1, a), Edge("b", 1, 2, 1, b)),
     )
     model = ComponentModel(rvs=(RandomVariable("a", 0.3, ("a",)),
-                                RandomVariable("b", 0.3, ("b",))))
-    fn = compile_system(net, model, target=0.3)
-    assert not fn.exact
+                                RandomVariable("b", 0.3, ("b",)),
+                                RandomVariable("s", 0.3, (2,))))
+    return net, model
 
-    def refused(self, states):
-        raise AssertionError("a witness was requested on inexact data")
 
-    monkeypatch.setattr(SystemFunction, "decide", refused)
-    q = ReliabilityQuery(target_flow=0.3, samples=400, seed=4)
-    rep = estimate_failure_probability(net, model, q)
-    direct = sum(not fn.evaluate(sample_states(model, q.seed, i)) for i in range(q.samples))
-    assert 0 < rep.failures == direct < q.samples
-    a = birnbaum_importance(net, model, q, method=MARGINS_METHOD)
-    b = birnbaum_importance(net, model, q, method=DIRECT_METHOD)
-    assert a.entries == b.entries
+@pytest.mark.parametrize("a,b,station,target", [
+    (0.1, 0.2, 1.0, 0.1 + 0.2),    # the plant fails with everything up
+    (0.1, 0.2, 1.0, 0.3),
+    (1e300, 5e-324, 1e300, 5e-324),  # 2**1074 units: a 2070-bit integer
+    (1e300, 5e-324, 1e300, 1e300),
+])
+def test_any_finite_capacities_learn_sets_and_count_like_direct(monkeypatch, a, b, station, target):
+    net, model = _two_edge_plant(a, b, station)
+    real = SystemFunction.decide
+    learned = []
+
+    def counted(self, states):
+        learned.append(1)
+        return real(self, states)
+
+    monkeypatch.setattr(SystemFunction, "decide", counted)
+    failures = {}
+    for mode in MODES:
+        fn = compile_system(net, model, target, mode=mode)
+        q = ReliabilityQuery(target_flow=target, mode=mode, samples=400, seed=4)
+        failures[mode] = estimate_failure_probability(net, model, q).failures
+        direct = sum(not fn.evaluate(sample_states(model, q.seed, i)) for i in range(q.samples))
+        assert failures[mode] == direct
+        x = birnbaum_importance(net, model, q, method=MARGINS_METHOD)
+        y = birnbaum_importance(net, model, q, method=DIRECT_METHOD)
+        assert x.entries == y.entries
+    assert learned and failures[STATION_THROUGHPUT] > 0
 
 
 @pytest.mark.parametrize("name,target", [("pressure-expanded", 89.9), ("gas", 0.49)])
 def test_any_target_keeps_learning_and_counts_like_direct(name, target):
-    # dyadic capacities keep Dinic exact; a target like 89.9 is only compared
+    # a target like 89.9 is compared with the flow as ceil(89.9 * 2**shift);
+    # the recount compares full flow values, exact on these dyadic plants
     doc = datasets.builtin(name)
     fn = compile_system(doc.network, doc.model, target)
-    assert fn.exact
     q = ReliabilityQuery(target_flow=target, samples=400, seed=8)
     rep = estimate_failure_probability(doc.network, doc.model, q)
-    direct = sum(not fn.evaluate(sample_states(doc.model, q.seed, i)) for i in range(q.samples))
+    direct = sum(fn.flow_value(sample_states(doc.model, q.seed, i)) < target
+                 for i in range(q.samples))
     assert 0 < rep.failures == direct
     q = ReliabilityQuery(target_flow=target, samples=100, seed=8)
     a = birnbaum_importance(doc.network, doc.model, q, method=MARGINS_METHOD)
@@ -183,23 +200,6 @@ def test_counts_hold_once_the_witness_cap_is_reached(monkeypatch):
     assert calls
     b = birnbaum_importance(doc.network, doc.model, q, method=DIRECT_METHOD)
     assert a.entries == b.entries
-
-
-def test_margins_profile_only_samples_the_learned_sets_leave_open(monkeypatch):
-    # a base verdict forced by a learned set settles every flip outside that
-    # set, so on exact data most samples need no full flow profile
-    real = SystemFunction.arc_profile
-    calls = []
-
-    def counted(self, states):
-        calls.append(1)
-        return real(self, states)
-
-    monkeypatch.setattr(SystemFunction, "arc_profile", counted)
-    doc = datasets.builtin("pressure-expanded")
-    q = ReliabilityQuery(target_flow=doc.defaults.target_flow, samples=500, seed=13)
-    birnbaum_importance(doc.network, doc.model, q, method=MARGINS_METHOD)
-    assert 0 < len(calls) < q.samples // 4
 
 
 def test_worker_count_never_changes_the_estimate():
@@ -247,8 +247,7 @@ def test_std_error_formula():
 
 
 def test_margins_shortcut_equals_direct_evaluation():
-    # station-throughput uses the margins and the learned sets; the fold
-    # mode has no margins, so there the learned sets decide the flips alone
+    # the learned sets decide the flips in the default mode and a fold mode
     cases = [(name, mode, samples) for name in datasets.BUILTINS
              for mode, samples in ((STATION_THROUGHPUT, 400), (EDGE_MIN, 100))]
     for name, mode, samples in cases:
@@ -279,8 +278,7 @@ def test_direct_method_evaluates_both_arms_and_learns_nothing(monkeypatch):
     monkeypatch.setattr(SystemFunction, "evaluate", counted)
     monkeypatch.setattr(SystemFunction, "decide", refused)
     monkeypatch.setattr(SystemFunction, "arc_profile", refused)
-    monkeypatch.setattr(reliability._Witnesses, "lookup", refused)
-    monkeypatch.setattr(reliability._Witnesses, "survives", refused)
+    monkeypatch.setattr(reliability._Witnesses, "decide", refused)
     q = ReliabilityQuery(target_flow=1.0, samples=30, seed=2)
     birnbaum_importance(doc.network, doc.model, q, method=DIRECT_METHOD)
     assert len(calls) == 2 * len(doc.model) * q.samples
