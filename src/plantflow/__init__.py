@@ -36,8 +36,10 @@ from .flow import (
     BACKENDS,
     LP_BACKEND,
     MAXFLOW_BACKEND,
+    EffectiveCapacities,
     FlowSolution,
     SystemFunction,
+    apply_scenario,
     build_flow_lp,
     build_layered_graph,
     compile_system,
@@ -50,10 +52,8 @@ from .model import (
     STATION_THROUGHPUT,
     ComponentModel,
     Edge,
-    EffectiveCapacities,
     PlantNetwork,
     RandomVariable,
-    apply_scenario,
 )
 from .reliability import (
     ImportanceEntry,

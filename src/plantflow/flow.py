@@ -15,10 +15,11 @@ Two interchangeable backends compute the same quantity:
   leave this module as the nearest floats.
 
 Both backends honour the three node-capacity semantics described at
-model.apply_scenario, each with its own scenario fold: the LP reads
-apply_scenario, max flow reads LayeredGraph.capacities. Agreement between
-them to 1e-9 is part of the test suite; if they ever split, trust neither
-and look for a modelling bug.
+apply_scenario through one scenario fold, LayeredGraph.capacities: max flow
+reads its integer arc capacities, the LP reads the same capacities as floats
+through LayeredGraph.effective. Agreement between them to 1e-9 is part of
+the test suite; if they ever split, trust neither and look for a modelling
+bug.
 """
 
 from __future__ import annotations
@@ -35,9 +36,7 @@ from .model import (
     EDGE_MIN,
     STATION_THROUGHPUT,
     ComponentModel,
-    EffectiveCapacities,
     PlantNetwork,
-    apply_scenario,
     asset_owners,
     assignment_states,
     check_mode,
@@ -58,6 +57,23 @@ def _check_backend(backend: str) -> None:
 
 
 @dataclass(frozen=True)
+class EffectiveCapacities:
+    """Capacities after a scenario is applied, under one semantics mode.
+
+    edge_cap has one entry per edge and station_cap one per station. In mode
+    ``station-throughput`` edge_cap is the raw (possibly zeroed) edge
+    capacity and station_cap bounds each station's processing separately.
+    In mode ``edge-min`` / ``edge-max`` the end-node capacities are already
+    folded into edge_cap (by min or max), so stations bound nothing and every
+    station_cap is math.inf.
+    """
+
+    mode: str
+    edge_cap: dict[str, float]
+    station_cap: dict[int, float]
+
+
+@dataclass(frozen=True)
 class FlowProgram:
     """LP plus the column map needed to read a solution back."""
 
@@ -70,9 +86,9 @@ class FlowProgram:
 def build_flow_lp(net: PlantNetwork, caps: EffectiveCapacities) -> FlowProgram:
     """Assemble the throughput LP for one set of effective capacities.
 
-    Station variables are bounded by station capacity only in
-    station-throughput mode; the folding modes already pushed node limits
-    into the edge bounds.
+    Edge variables are bounded by edge_cap and station variables by
+    station_cap, which is math.inf in the modes that fold node limits into
+    the edge bounds.
     """
     edge_var = {e.edge_id: i for i, e in enumerate(net.edges)}
     station_var: dict[int, int] = {}
@@ -84,13 +100,12 @@ def build_flow_lp(net: PlantNetwork, caps: EffectiveCapacities) -> FlowProgram:
     u_var = col
     n_vars = col + 1
 
-    bound_stations = caps.mode == STATION_THROUGHPUT
     lower = [0.0] * n_vars
     upper = [0.0] * n_vars
     for e in net.edges:
         upper[edge_var[e.edge_id]] = caps.edge_cap[e.edge_id]
     for s, j in station_var.items():
-        upper[j] = caps.station_cap[s] if bound_stations else math.inf
+        upper[j] = caps.station_cap[s]
     upper[u_var] = math.inf
     objective = [0.0] * n_vars
     objective[u_var] = 1.0
@@ -178,6 +193,23 @@ class LayeredGraph:
             caps[:m] = fold(caps[:m], fold(ends[0], ends[1]))
         return caps
 
+    def effective(self, states) -> EffectiveCapacities:
+        """capacities(states) as floats keyed by edge id and station node.
+
+        Each count divides back to the document's float exactly. Station
+        arcs bound nothing in the edge-min and edge-max modes, so there a
+        station's capacity is math.inf.
+        """
+        unit = 2 ** self.shift
+        bound_stations = self.mode == STATION_THROUGHPUT
+        edge_cap, station_cap = {}, {}
+        for kind, ref, c in zip(self.kinds, self.refs, self.capacities(states).tolist()):
+            if kind == "edge":
+                edge_cap[ref] = c / unit
+            else:
+                station_cap[ref] = c / unit if bound_stations else math.inf
+        return EffectiveCapacities(self.mode, edge_cap, station_cap)
+
     def reads(self, num_rvs: int) -> np.ndarray:
         """reads[a, j]: capacities(states)[a] depends on states[j]."""
         out = np.zeros((self.nominal.size, num_rvs + 1), dtype=bool)  # column -1: no RV
@@ -251,6 +283,54 @@ def _solve(graph: LayeredGraph, states, cutoff: int | None = None) -> dinic.MaxF
     return dinic.max_flow(graph.topology, caps=graph.capacities(states), cutoff=cutoff)
 
 
+def apply_scenario(
+    net: PlantNetwork,
+    model: ComponentModel,
+    assignment: dict[str, int],
+    mode: str = STATION_THROUGHPUT,
+) -> EffectiveCapacities:
+    """Turn a component assignment into effective capacities.
+
+    Every asset of a failed RV (state 0) first gets capacity 0; everything
+    else keeps its nominal value. The semantics mode then decides how node
+    capacities act on flow bounds, and under edge-max a failed edge can get
+    capacity back from its end nodes (see that bullet):
+
+    - ``station-throughput``: edges keep their own capacities and station
+      capacities separately bound each station's bridged throughput. A
+      passive (non-station) node's capacity bounds nothing here, so neither
+      its explicit capacity nor the failure of an RV governing it has an
+      effect.
+    - ``edge-min``: each edge bound becomes min(edge, tail node, head node),
+      reading a node capacity as a limit on everything touching the node.
+    - ``edge-max``: the same fold with max, under which a failed station
+      never throttles a surviving edge, and a failed edge still carries
+      max(tail node, head node). A passive node without an explicit
+      capacity resolves to its largest incident edge's nominal capacity
+      and no RV governs it, so it keeps a failed edge open: with every
+      component down, didactic and gas still deliver 1, pressure-original
+      55 and pressure-expanded 420.
+
+    The fold is LayeredGraph.capacities, the one max flow reads.
+
+    Raises
+    ------
+    PlantDataError
+        If the mode is unknown.
+    MappingError
+        If the assignment does not cover the model's RVs exactly, or an RV
+        references an asset the network does not have or another RV governs.
+    """
+    return build_layered_graph(net, model, mode).effective(assignment_states(model, assignment))
+
+
+def _lp_optimum(prog: FlowProgram):
+    sol = solve_lp(prog.lp)
+    if sol.status != OPTIMAL:
+        raise RuntimeError(f"throughput LP ended {sol.status}, expected optimal")
+    return sol
+
+
 # ---------------------------------------------------------------------------
 # Public entry point
 
@@ -290,9 +370,7 @@ def max_processable_flow(
 
     if backend == LP_BACKEND:
         prog = build_flow_lp(net, apply_scenario(net, model, assignment, mode))
-        sol = solve_lp(prog.lp)
-        if sol.status != OPTIMAL:
-            raise RuntimeError(f"throughput LP ended {sol.status}, expected optimal")
+        sol = _lp_optimum(prog)
         x = sol.x
         edge_flow = {eid: x[j] for eid, j in prog.edge_var.items()}
         station_flow = {s: x[j] for s, j in prog.station_var.items()}
@@ -349,7 +427,6 @@ class SystemFunction:
         # the graph build also validates mode and the model/network pairing
         self.graph = build_layered_graph(net, model, mode)
         self.net = net
-        self.model = model
         self.target = float(target)
         self.mode = mode
         self.backend = backend
@@ -406,10 +483,7 @@ class SystemFunction:
         return up, rv_bitmasks((self._reads[arcs].any(axis=0) & keep)[None])[0]
 
     def _lp_value(self, states) -> float:
-        assignment = {rv_id: int(s) for rv_id, s in zip(self.rv_ids, states)}
-        sol = max_processable_flow(self.net, self.model, assignment,
-                                   mode=self.mode, backend=LP_BACKEND)
-        return sol.value
+        return _lp_optimum(build_flow_lp(self.net, self.graph.effective(states))).objective_value
 
 
 def compile_system(

@@ -107,30 +107,25 @@ class _Tableau:
     def __init__(self, lp: LinearProgram):
         n = lp.num_vars
         lower = np.array(lp.lower, dtype=float)
-        dense_rows: list[np.ndarray] = []
-        rhs: list[float] = []
-        self.status_flag: str | None = None
-        for row, b in zip(lp.rows, lp.rhs):
-            a = np.zeros(n)
-            for j, coef in row:
-                a[j] += coef
-            b_shift = b - float(a @ lower)
-            if np.max(np.abs(a), initial=0.0) <= PIVOT_TOL:
-                if abs(b_shift) > TOL:
-                    self.status_flag = INFEASIBLE  # 0 = nonzero is unsatisfiable
-                continue
-            if b_shift < 0:
-                a, b_shift = -a, -b_shift
-            dense_rows.append(a)
-            rhs.append(b_shift)
+        sizes = [len(row) for row in lp.rows]
+        a = np.zeros((len(sizes), n))
+        at = (np.repeat(np.arange(len(sizes)), sizes),
+              np.array([j for row in lp.rows for j, _ in row], dtype=np.intp))
+        # add.at sums a repeated (row, column) entry in listing order, as += would
+        np.add.at(a, at, [coef for row in lp.rows for _, coef in row])
+        b = np.array(lp.rhs, dtype=float) - a @ lower
+        live = np.max(np.abs(a), axis=1, initial=0.0) > PIVOT_TOL
+        # a dropped row reads 0 = b, unsatisfiable when b is nonzero
+        self.status_flag = INFEASIBLE if np.any(np.abs(b[~live]) > TOL) else None
+        a, b = a[live], b[live]
+        flip = b < 0
+        a[flip], b[flip] = -a[flip], -b[flip]
 
-        m = len(dense_rows)
-        self.m, self.n = m, n
-        self.T = np.vstack(dense_rows) if m else np.zeros((0, n))
-        self.values = np.array(rhs, dtype=float)
+        self.m, self.n = len(b), n
+        self.T, self.values = a, b
         self.width = np.array(lp.upper, dtype=float) - lower
         self.status = np.full(n, self.AT_LOWER, dtype=np.int8)
-        self.basis = list(range(n, n + m))
+        self.basis = list(range(n, n + self.m))
         # phase-1 prices: maximise -(sum of artificials) == sum of rows
         self.d1 = self.T.sum(axis=0)
         self.d2 = np.array(lp.objective, dtype=float)

@@ -88,10 +88,7 @@ class RankedComponents:
 
 def sample_states(model: ComponentModel, seed: int, index: int) -> np.ndarray:
     """State vector (1.0 up / 0.0 down) of one sample, in model order."""
-    n = len(model)
-    u = rng.uniform_block(seed, index * n, n)
-    p = np.array([rv.p_fail for rv in model.rvs])
-    return (u >= p).astype(np.float64)
+    return next(_iter_samples(model, seed, index, index + 1))[1]
 
 
 def sample_assignment(model: ComponentModel, seed: int, index: int) -> dict[str, int]:

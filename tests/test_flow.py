@@ -18,6 +18,7 @@ from plantflow.dinic import max_flow as dinic_max_flow
 from plantflow.errors import MappingError, PlantDataError
 from plantflow.flow import (
     SystemFunction,
+    apply_scenario,
     build_flow_lp,
     build_layered_graph,
     compile_system,
@@ -33,7 +34,6 @@ from plantflow.model import (
     Edge,
     PlantNetwork,
     RandomVariable,
-    apply_scenario,
 )
 
 NOMINAL = {}
@@ -276,6 +276,17 @@ def test_didactic_lp_shape():
     assert len(prog.edge_var) == 21
     assert len(prog.station_var) == 8
     assert prog.lp.num_vars == 21 + 8 + 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_lp_station_bounds_are_the_station_capacities(mode):
+    doc, a = didactic_assignment(STORAGE_REROUTED)
+    caps = apply_scenario(doc.network, doc.model, a, mode)
+    if mode != STATION_THROUGHPUT:
+        # node limits are folded into the edges, so stations bound nothing
+        assert set(caps.station_cap.values()) == {math.inf}
+    prog = build_flow_lp(doc.network, caps)
+    assert {s: prog.lp.upper[j] for s, j in prog.station_var.items()} == caps.station_cap
 
 
 def test_zero_capacity_stage_is_legal():

@@ -24,9 +24,9 @@ from collections import Counter
 from pathlib import Path
 
 from plantflow import datasets
-from plantflow.flow import build_flow_lp
+from plantflow.flow import apply_scenario, build_flow_lp
 from plantflow.lp import LinearProgram, solve_lp
-from plantflow.model import MODES, apply_scenario
+from plantflow.model import MODES
 
 GOLDEN = Path(__file__).with_name("golden") / "lp.json"
 

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from plantflow.errors import MappingError, PlantDataError
-from plantflow.flow import BACKENDS, max_processable_flow
+from plantflow.flow import BACKENDS, apply_scenario, max_processable_flow
 from plantflow.model import (
     EDGE_MAX,
     EDGE_MIN,
@@ -14,7 +14,6 @@ from plantflow.model import (
     Edge,
     PlantNetwork,
     RandomVariable,
-    apply_scenario,
     validate_model,
     validate_network,
 )
@@ -157,7 +156,7 @@ def test_validate_network_flags_non_finite_capacities():
 
 
 def test_asset_governed_by_two_rvs_rejected():
-    # the LP and max-flow folds would disagree on which RV decides the asset
+    # which RV decides the asset would depend on the order of the model
     net = tiny_net()
     model = ComponentModel(rvs=(
         RandomVariable("a", 0.1, ("e1",)),

@@ -15,18 +15,18 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plantflow.flow import build_flow_lp, compile_system, max_processable_flow
+from plantflow.flow import apply_scenario, build_flow_lp, compile_system, max_processable_flow
 from plantflow.lp import OPTIMAL
 from plantflow.model import (
     MODES,
+    STATION_THROUGHPUT,
     ComponentModel,
     Edge,
     PlantNetwork,
     RandomVariable,
-    apply_scenario,
 )
 from plantflow.reliability import (
     DIRECT_METHOD,
@@ -36,7 +36,9 @@ from plantflow.reliability import (
     estimate_failure_probability,
     sample_states,
 )
+from fold_reference import apply_scenario as reference_fold
 from lp_exact import solve_lp_exact
+from test_model import tiny_model, tiny_net
 
 POSITIVE = st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 0.1, 0.3, 1.1])
 CAPACITIES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 0.1, 0.3, 1.1])
@@ -99,6 +101,22 @@ def test_dinic_float_lp_and_exact_lp_agree_in_every_mode(plant, data):
         assert exact.status == OPTIMAL
         assert abs(u_lp - u_dinic) <= 1e-9
         assert exact.objective_value == u_dinic
+
+
+@CHECKS
+@given(staged_plants(), st.integers(0, 2 ** 64 - 1))
+# the passive node's RV "mid" down: edge-min closes both of its edges, while
+# station-throughput and edge-max leave every capacity as it was
+@example((tiny_net(), tiny_model(), 0.5, STATION_THROUGHPUT), 0b101)
+def test_scenario_fold_equals_the_reference_dict_fold(plant, bits):
+    net, model, _, _ = plant
+    assignment = {rv.rv_id: bits >> k & 1 for k, rv in enumerate(model.rvs)}
+    for mode in MODES:
+        caps = apply_scenario(net, model, assignment, mode)
+        ref = reference_fold(net, model, assignment, mode)
+        assert caps.edge_cap == ref.edge_cap
+        if mode == STATION_THROUGHPUT:
+            assert caps.station_cap == ref.station_cap
 
 
 @CHECKS
