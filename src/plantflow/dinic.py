@@ -119,4 +119,4 @@ def max_flow(topology: Topology, caps, cutoff: int | float | None = None) -> Max
                 cursor[v] += 1
 
     # reverse residual equals the flow carried by the forward arc
-    return MaxFlowResult(flow, tuple(res[1::2]), tuple(d >= 0 for d in level))
+    return MaxFlowResult(flow, tuple(res[1::2]), tuple([d >= 0 for d in level]))

@@ -389,18 +389,6 @@ def max_processable_flow(
 # Compiled evaluator for repeated scenario queries
 
 
-def rv_bitmasks(rows: np.ndarray) -> list[int]:
-    """One int per row of a boolean (rows, rvs) array; bit j is column j."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def mask_flags(mask: int, num_rvs: int) -> np.ndarray:
-    """One bool per RV, True where mask has its bit set; inverts rv_bitmasks."""
-    bits = np.frombuffer(mask.to_bytes(num_rvs // 8 + 1, "little"), dtype=np.uint8)
-    return np.unpackbits(bits, count=num_rvs, bitorder="little").view(bool)
-
-
 class SystemFunction:
     """Survival predicate over component states, compiled once per model.
 
@@ -457,12 +445,12 @@ class SystemFunction:
             return self._lp_value(states) >= self.target
         return _solve(self.graph, states, self.cutoff).value >= self.cutoff
 
-    def decide(self, states) -> tuple[bool, int]:
-        """evaluate() plus the RV bitmask (bit j is RV j) that proves it.
+    def decide(self, states) -> tuple[bool, np.ndarray]:
+        """evaluate() plus the RVs that prove it, as one bool per RV.
 
-        A survivor's mask holds the up RVs read by the arcs that carry its
+        A survivor's set holds the up RVs read by the arcs that carry its
         flow: a path set, since that flow stays feasible in any state vector
-        with those RVs up, so every such vector survives. A failure's mask
+        with those RVs up, so every such vector survives. A failure's set
         holds the failed RVs read by the arcs leaving the final search's
         source side: a cut set, whose capacity no vector with those RVs down
         can raise above this flow, so every such vector fails. An arc reads
@@ -474,13 +462,11 @@ class SystemFunction:
         result = _solve(self.graph, states, self.cutoff)
         up = result.value >= self.cutoff
         if up:
-            arcs = np.array(result.arc_flow) > 0
-            keep = np.asarray(states) == 1.0
+            arcs = np.fromiter(result.arc_flow, dtype=bool)
         else:
-            side = np.array(result.source_side)
+            side = np.frombuffer(bytes(result.source_side), dtype=bool)
             arcs = side[self._tails] & ~side[self._heads]
-            keep = np.asarray(states) == 0.0
-        return up, rv_bitmasks((self._reads[arcs].any(axis=0) & keep)[None])[0]
+        return up, self._reads[arcs].any(axis=0) & (np.asarray(states) == up)
 
     def _lp_value(self, states) -> float:
         return _lp_optimum(build_flow_lp(self.net, self.graph.effective(states))).objective_value

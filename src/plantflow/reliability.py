@@ -18,14 +18,16 @@ Both estimators skip solves whose outcome is forced. Throughput is monotone
 in component states, so every solve that decides a state vector also yields
 a witness (SystemFunction.decide): a path set when the plant survives (any
 vector with those RVs up survives) or a cut set when it fails (any vector
-with those RVs down fails). The estimators keep these sets and solve only
-the vectors that none of them decides. The brute-force "direct" method
-evaluates every vector and is the independent reference.
+with those RVs down fails). A store of these sets judges a whole RNG chunk
+at once: a set decides a vector when its count, the path set's failed RVs or
+the cut set's up RVs, is 0, and importance reads the same counts for every
+single-component flip. Only what no set decides is solved, in sample order.
+The brute-force "direct" method evaluates every vector and is the reference.
 
 Survival compares exact integers (the max-flow backend scales every
 capacity to a whole number of 2**-k units), so the learned sets are sound on
-any finite data, and "margins" and "direct" return bit-identical reports.
-The lp backend learns nothing and solves every undecided vector.
+any finite data, whatever order they are learned in, and "margins" and
+"direct" return bit-identical reports. The lp backend learns nothing.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ import numpy as np
 
 from . import rng
 from .errors import PlantDataError
-from .flow import MAXFLOW_BACKEND, SystemFunction, compile_system, mask_flags, rv_bitmasks
+from .flow import MAXFLOW_BACKEND, SystemFunction, compile_system
 from .model import STATION_THROUGHPUT, ComponentModel, PlantNetwork
 
 _STATE_CHUNK = 4096       # samples drawn per vectorised RNG call
-_WITNESSES_MAX = 512      # solves that teach a set; a miss scans them all (30-40 us)
+_WITNESSES_MAX = 512      # solves that teach a set; bounds a chunk's counts at S x 512
+_ALL = np.uint64(2**64 - 1)
 
 MARGINS_METHOD = "margins"
 DIRECT_METHOD = "direct"
@@ -88,7 +91,7 @@ class RankedComponents:
 
 def sample_states(model: ComponentModel, seed: int, index: int) -> np.ndarray:
     """State vector (1.0 up / 0.0 down) of one sample, in model order."""
-    return next(_iter_samples(model, seed, index, index + 1))[1]
+    return (~next(_iter_samples(model, seed, index, index + 1))[0]).astype(np.float64)
 
 
 def sample_assignment(model: ComponentModel, seed: int, index: int) -> dict[str, int]:
@@ -112,67 +115,100 @@ def _worker_ranges(samples: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _iter_samples(model: ComponentModel, seed: int, lo: int, hi: int):
-    """Per sample lo..hi-1: failed-RV flags (bool), 0/1 states and the failed bitmask."""
+    """Failed-RV flags (bool, samples x RVs) of samples lo..hi-1, one RNG chunk at a time."""
     n = len(model)
     p = np.array([rv.p_fail for rv in model.rvs])
     for s0 in range(lo, hi, _STATE_CHUNK):
         s1 = min(s0 + _STATE_CHUNK, hi)
-        u = rng.uniform_block(seed, s0 * n, (s1 - s0) * n).reshape(s1 - s0, n)
-        down = u < p
-        yield from zip(down, (~down).astype(np.float64), rv_bitmasks(down))
+        yield rng.uniform_block(seed, s0 * n, (s1 - s0) * n).reshape(s1 - s0, n) < p
 
 
-class _Witnesses:
-    """Cut sets and path sets learned from solves, as RV bitmasks.
+def _pack(flags: np.ndarray) -> np.ndarray:
+    """Bool rows as rows of uint64 words; bit j of a row's words is its flag j."""
+    pad = np.zeros(flags.shape[:-1] + (-flags.shape[-1] % 64,), dtype=bool)
+    bits = np.packbits(np.concatenate([flags, pad], axis=-1), axis=-1, bitorder="little")
+    return bits.view("<u8")
 
-    A state vector is given by its failed-RV mask (bit j is RV j). It fails
-    when its mask contains a learned cut set and survives when it misses a
-    learned path set; otherwise decide() solves it and keeps the solve's
-    own set. The sets are sound on any data, since the max-flow verdict is
-    exact. Learning stops after _WITNESSES_MAX solves, which bounds the scan
-    that precedes each solve; past that cap, and on the lp backend, every
-    undecided vector goes to evaluate(), and the vector's own up RVs (or
-    failed RVs) stand as its set. At their 3% down-rates the built-ins learn
-    about 130 sets in a 100k-sample reliability run and gas about 260 in a
-    20k-sample importance run, while a plant that fails in most samples
-    keeps finding new cut sets.
+
+class _Store:
+    """The path sets and cut sets learned from solves, as packed rows over the RVs.
+
+    Verdicts are 1 (up), 0 (down) or -1 (open). Past _WITNESSES_MAX solves,
+    which bound a chunk's counts, and on the lp backend, evaluate() decides.
     """
 
     def __init__(self, sf: SystemFunction):
-        self.sf = sf
-        self.cuts: list[int] = []
-        self.paths: list[int] = []
-        self.room = _WITNESSES_MAX if sf.backend == MAXFLOW_BACKEND else 0
-        self.num_rvs = len(sf.rv_ids)
+        self.sf, self.n, self.size = sf, len(sf.rv_ids), 0
+        room = _WITNESSES_MAX if sf.backend == MAXFLOW_BACKEND else 0
+        self.words = _pack(np.zeros((room, self.n), dtype=bool))
+        self.up = np.zeros(room, dtype=bool)  # the verdict each set forces
 
-    def decide(self, down: int) -> tuple[bool, int]:
-        """The verdict on the vector with this failed mask, and a set that forces it."""
-        for path in self.paths:
-            if not path & down:
-                return True, path
-        for cut in self.cuts:
-            if cut & down == cut:
-                return False, cut
-        states = (~mask_flags(down, self.num_rvs)).astype(np.float64)
-        if not self.room:
-            up = self.sf.evaluate(states)
-            return up, ((1 << self.num_rvs) - 1) ^ down if up else down
-        self.room -= 1
-        up, mask = self.sf.decide(states)
-        (self.paths if up else self.cuts).append(mask)
-        return up, mask
+    def _counts(self, Fw: np.ndarray) -> np.ndarray:
+        """Per (row, set): the failed RVs of a path set, the up RVs of a cut set."""
+        words = self.words[:self.size]
+        uncounted = np.where(self.up[:self.size], np.uint64(0), _ALL)
+        return sum((np.bitwise_count((Fw[:, i, None] ^ uncounted) & words[:, i])
+                    for i in range(words.shape[1])), np.zeros((len(Fw), self.size), np.int32))
+
+    def settle(self, down: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A chunk's failed flags packed, and each row's verdict, solving the open rows."""
+        Fw = _pack(down)
+        zero = self._counts(Fw) == 0
+        verdict = np.where(zero.any(axis=1), (zero & self.up[:self.size]).any(axis=1), np.int8(-1))
+        todo = np.flatnonzero(verdict < 0)
+        return Fw, self._solve_open(verdict, todo, Fw[todo].T)
+
+    def flips(self, down: np.ndarray, Fw: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """Verdict on each row with one RV flipped (rows x RVs), given the rows' own."""
+        verdict = np.where(down == (base == 1)[:, None], base[:, None], -1)  # monotonicity
+        counts, up = self._counts(Fw), self.up[:self.size]
+        for kind in (True, False):
+            words, kind_counts = self.words[:self.size][up == kind], counts[:, up == kind]
+            # a count-0 set decides every flip outside it
+            zero, common = (kind_counts == 0).T, np.full_like(Fw, _ALL)
+            for i, w in enumerate(words.T):
+                common[:, i] = np.bitwise_and.reduce(np.where(zero, w[:, None], _ALL), axis=0)
+            outside = np.unpackbits(~common.view(np.uint8), axis=1, count=self.n, bitorder="little")
+            verdict[outside.view(bool)] = kind
+            # a count-1 set decides the flip of its one counted RV
+            s1, k1 = np.nonzero(kind_counts == 1)
+            bits = (Fw[s1] if kind else ~Fw[s1]) & words[k1]
+            j1 = np.where(bits > 0, np.bitwise_count(bits - 1) + 64 * np.arange(Fw.shape[1]), 0)
+            verdict[s1, j1.sum(axis=1)] = kind
+        todo = np.flatnonzero(verdict < 0)
+        flipped = Fw[todo // self.n] ^ _pack(np.eye(self.n, dtype=bool))[todo % self.n]
+        self._solve_open(verdict.reshape(-1), todo, flipped.T)
+        return verdict
+
+    def _solve_open(self, verdict: np.ndarray, todo: np.ndarray, failed: np.ndarray):
+        """Fill verdict[todo] in order, failed[:, i] packing entry i's failed RVs. Each
+        solve's set settles, in one pass, every open entry it decides."""
+        while todo.size and self.size < len(self.up):
+            up, members = self.sf.decide(self._states(failed[:, 0]))
+            words = self.words[self.size] = _pack(members)
+            self.up[self.size] = up
+            self.size += 1
+            # still open: a failed RV in the path set, an up RV in the cut set
+            counted = (failed ^ (np.uint64(0) if up else _ALL)) & words[:, None]
+            keep = np.flatnonzero(np.bitwise_or.reduce(counted, axis=0))
+            verdict[todo] = up
+            todo, failed = todo[keep], failed.take(keep, axis=1)
+            verdict[todo] = -1
+        for i, f in zip(todo, failed.T):
+            verdict[i] = self.sf.evaluate(self._states(f))
+        return verdict
+
+    def _states(self, failed: np.ndarray) -> np.ndarray:
+        bits = np.ascontiguousarray(failed).view(np.uint8)
+        return np.unpackbits(bits, count=self.n, bitorder="little") == 0
 
 
 def _count_failures(args) -> int:
     net, model, query, lo, hi = args
-    sf = compile_system(net, model, query.target_flow,
-                        mode=query.mode, backend=query.backend)
-    known = _Witnesses(sf)
-    failures = 0
-    for _, _, failed in _iter_samples(model, query.seed, lo, hi):
-        if not known.decide(failed)[0]:
-            failures += 1
-    return failures
+    known = _Store(compile_system(net, model, query.target_flow,
+                                  mode=query.mode, backend=query.backend))
+    return sum(int((known.settle(down)[1] == 0).sum())
+               for down in _iter_samples(model, query.seed, lo, hi))
 
 
 def estimate_failure_probability(
@@ -202,37 +238,25 @@ def _importance_counts(args) -> tuple[np.ndarray, np.ndarray]:
     sf = compile_system(net, model, query.target_flow,
                         mode=query.mode, backend=query.backend)
     n_rvs = len(model)
-    plus = np.zeros(n_rvs, dtype=np.int64)
-    minus = np.zeros(n_rvs, dtype=np.int64)
-    known = _Witnesses(sf)
+    plus, minus = np.zeros((2, n_rvs), dtype=np.int64)
+    known = _Store(sf)
 
-    for down, states, failed in _iter_samples(model, query.seed, lo, hi):
+    for down in _iter_samples(model, query.seed, lo, hi):
         if method == DIRECT_METHOD:
-            for j in range(n_rvs):
-                row = states.copy()
-                row[j] = 1.0
-                if sf.evaluate(row):
-                    plus[j] += 1
-                row[j] = 0.0
-                if sf.evaluate(row):
-                    minus[j] += 1
+            for states in (~down).astype(np.float64):
+                for j in range(n_rvs):
+                    for state, counts in ((1.0, plus), (0.0, minus)):
+                        row = states.copy()
+                        row[j] = state
+                        counts[j] += sf.evaluate(row)
             continue
 
-        # Each arm flips one component. The set that decides the base also
-        # decides every flip outside it, which still meets the set.
-        base_up, witness = known.decide(failed)
-        open_arms = mask_flags(witness, n_rvs)
-        if base_up:
-            # flipping any component up keeps the system up
-            plus += 1
-            minus += down | ~open_arms  # failed components: minus arm = base
-            arms, counts = ~down & open_arms, minus
-        else:
-            # system already down: only restoring a failed component can help
-            arms, counts = down & open_arms, plus
-        for j in np.flatnonzero(arms).tolist():
-            if known.decide(failed ^ (1 << j))[0]:
-                counts[j] += 1
+        # of the two arms of a (sample, component), one is the sample itself
+        Fw, base = known.settle(down)
+        flipped_up = known.flips(down, Fw, base) == 1
+        base_up = (base == 1)[:, None]
+        plus += np.where(down, flipped_up, base_up).sum(axis=0)
+        minus += np.where(down, base_up, flipped_up).sum(axis=0)
     return plus, minus
 
 
@@ -245,11 +269,11 @@ def birnbaum_importance(
 ) -> ImportanceReport:
     """Birnbaum importance for every component, common random numbers.
 
-    method "margins" (default) settles each sample's base vector and then
-    only the flips its deciding set leaves open, through the learned cut
-    sets and path sets; "direct" evaluates both arms for every component
-    and sample. Both give bit-identical reports; direct is the slow
-    reference.
+    method "margins" (default) settles each sample and then each of its
+    single-component flips through monotonicity and the learned cut sets
+    and path sets, solving only the rest; "direct" evaluates both arms for
+    every component and sample. Both give bit-identical reports; direct is
+    the slow reference.
     """
     if method not in (MARGINS_METHOD, DIRECT_METHOD):
         raise PlantDataError(f"unknown importance method {method!r}")
@@ -261,8 +285,7 @@ def birnbaum_importance(
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_importance_counts, tasks))
-    plus = np.sum([p for p, _ in parts], axis=0)
-    minus = np.sum([m for _, m in parts], axis=0)
+    plus, minus = np.sum(parts, axis=0)
 
     n = query.samples
     p_plus = plus / n

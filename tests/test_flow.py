@@ -467,7 +467,9 @@ def test_verdict_is_exact_where_float_sums_round():
     fn = compile_system(net, model, target=0.1 + 0.2)
     assert fn.flow_value(np.ones(2)) == 0.1 + 0.2
     assert not fn.evaluate(np.ones(2))
-    assert fn.decide(np.ones(2)) == (False, 0)  # the empty cut set: nothing survives
+    up, members = fn.decide(np.ones(2))
+    assert up is False  # the empty cut set: nothing survives
+    assert members.dtype == bool and members.tolist() == [False, False]
     assert compile_system(net, model, target=0.3).evaluate(np.ones(2))
 
 
@@ -499,10 +501,9 @@ def test_decide_witnesses_hold_at_their_extremes(name, mode):
     for rate in (0.05, 0.2, 0.5):
         for _ in range(10):
             states = np.array([0.0 if rnd.random() < rate else 1.0 for _ in range(n)])
-            up, mask = fn.decide(states)
+            up, members = fn.decide(states)
             assert up == fn.evaluate(states)
-            members = np.array([mask >> j & 1 for j in range(n)], dtype=bool)
-            assert mask >> n == 0
+            assert members.dtype == bool and members.shape == (n,)
             if up:
                 assert (states[members] == 1.0).all()
                 assert fn.evaluate(members.astype(float))

@@ -202,6 +202,55 @@ def test_counts_hold_once_the_witness_cap_is_reached(monkeypatch):
     assert a.entries == b.entries
 
 
+@pytest.mark.parametrize("name", ["gas", "pressure-expanded"])
+@pytest.mark.parametrize("mode", [STATION_THROUGHPUT, EDGE_MIN])
+@pytest.mark.parametrize("cap", [512, 3])
+def test_learned_sets_carry_across_rng_chunks(monkeypatch, name, mode, cap):
+    # 7-sample chunks: sets learned in one chunk settle rows of the next, and
+    # with cap 3 learning stops inside the first chunk
+    monkeypatch.setattr(reliability, "_STATE_CHUNK", 7)
+    monkeypatch.setattr(reliability, "_WITNESSES_MAX", cap)
+    real = {kind: getattr(SystemFunction, kind) for kind in ("decide", "evaluate")}
+    calls = {"decide": 0, "evaluate": 0}
+
+    def counting(kind):
+        def counted(self, states):
+            calls[kind] += 1
+            return real[kind](self, states)
+        return counted
+
+    for kind in calls:
+        monkeypatch.setattr(SystemFunction, kind, counting(kind))
+    doc = datasets.builtin(name)
+    fn = compile_system(doc.network, doc.model, doc.defaults.target_flow, mode=mode)
+    q = ReliabilityQuery(doc.defaults.target_flow, mode=mode, samples=40, seed=17)
+    rep = estimate_failure_probability(doc.network, doc.model, q)
+    direct = sum(not real["evaluate"](fn, sample_states(doc.model, q.seed, i))
+                 for i in range(q.samples))
+    assert rep.failures == direct
+    calls.update(decide=0, evaluate=0)
+    a = birnbaum_importance(doc.network, doc.model, q, method=MARGINS_METHOD)
+    assert 0 < calls["decide"] <= cap
+    assert (calls["evaluate"] > 0) == (cap == 3)
+    b = birnbaum_importance(doc.network, doc.model, q, method=DIRECT_METHOD)
+    assert a.entries == b.entries
+
+
+def test_lp_backend_learns_nothing_and_agrees_with_direct(monkeypatch):
+    doc = datasets.builtin("didactic")
+    refused = []
+    monkeypatch.setattr(SystemFunction, "decide", lambda self, states: refused.append(1))
+    q = ReliabilityQuery(target_flow=1.0, backend="lp", samples=24, seed=6)
+    fn = compile_system(doc.network, doc.model, 1.0, backend="lp")
+    rep = estimate_failure_probability(doc.network, doc.model, q)
+    assert 0 < rep.failures == sum(not fn.evaluate(sample_states(doc.model, q.seed, i))
+                                   for i in range(q.samples))
+    a = birnbaum_importance(doc.network, doc.model, q, method=MARGINS_METHOD)
+    b = birnbaum_importance(doc.network, doc.model, q, method=DIRECT_METHOD)
+    assert a.entries == b.entries
+    assert not refused
+
+
 def test_worker_count_never_changes_the_estimate():
     doc = datasets.builtin("didactic")
     q = ReliabilityQuery(target_flow=1.0, samples=4000, seed=42)
@@ -278,7 +327,8 @@ def test_direct_method_evaluates_both_arms_and_learns_nothing(monkeypatch):
     monkeypatch.setattr(SystemFunction, "evaluate", counted)
     monkeypatch.setattr(SystemFunction, "decide", refused)
     monkeypatch.setattr(SystemFunction, "arc_profile", refused)
-    monkeypatch.setattr(reliability._Witnesses, "decide", refused)
+    for entry in ("settle", "flips"):
+        monkeypatch.setattr(reliability._Store, entry, refused)
     q = ReliabilityQuery(target_flow=1.0, samples=30, seed=2)
     birnbaum_importance(doc.network, doc.model, q, method=DIRECT_METHOD)
     assert len(calls) == 2 * len(doc.model) * q.samples
