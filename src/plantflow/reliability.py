@@ -43,7 +43,7 @@ from .errors import PlantDataError
 from .flow import MAXFLOW_BACKEND, SystemFunction, compile_system
 from .model import STATION_THROUGHPUT, ComponentModel, PlantNetwork
 
-_STATE_CHUNK = 4096       # samples drawn per vectorised RNG call
+_STATE_CHUNK = 2048       # samples drawn per RNG call and settled together
 _WITNESSES_MAX = 512      # solves that teach a set; bounds a chunk's counts at S x 512
 _ALL = np.uint64(2**64 - 1)
 
@@ -126,15 +126,13 @@ def _iter_samples(model: ComponentModel, seed: int, lo: int, hi: int):
 def _pack(flags: np.ndarray) -> np.ndarray:
     """Bool rows as rows of uint64 words; bit j of a row's words is its flag j."""
     pad = np.zeros(flags.shape[:-1] + (-flags.shape[-1] % 64,), dtype=bool)
-    bits = np.packbits(np.concatenate([flags, pad], axis=-1), axis=-1, bitorder="little")
-    return bits.view("<u8")
+    return np.packbits(np.concatenate([flags, pad], -1), axis=-1, bitorder="little").view("<u8")
 
 
 class _Store:
-    """The path sets and cut sets learned from solves, as packed rows over the RVs.
+    """Learned path and cut sets as packed rows; verdicts are 1 up, 0 down, -1 open.
 
-    Verdicts are 1 (up), 0 (down) or -1 (open). Past _WITNESSES_MAX solves,
-    which bound a chunk's counts, and on the lp backend, evaluate() decides.
+    Past _WITNESSES_MAX solves, and on the lp backend, evaluate() decides alone.
     """
 
     def __init__(self, sf: SystemFunction):
@@ -144,17 +142,20 @@ class _Store:
         self.up = np.zeros(room, dtype=bool)  # the verdict each set forces
 
     def _counts(self, Fw: np.ndarray) -> np.ndarray:
-        """Per (row, set): the failed RVs of a path set, the up RVs of a cut set."""
-        words = self.words[:self.size]
-        uncounted = np.where(self.up[:self.size], np.uint64(0), _ALL)
-        return sum((np.bitwise_count((Fw[:, i, None] ^ uncounted) & words[:, i])
-                    for i in range(words.shape[1])), np.zeros((len(Fw), self.size), np.int32))
+        """Per (set, row): the failed RVs of a path set, the up RVs of a cut set."""
+        words, counts = self.words[:self.size], np.zeros((self.size, len(Fw)), np.int32)
+        uncounted = np.where(self.up[:self.size], np.uint64(0), _ALL)[:, None]
+        for i, column in enumerate(Fw.T):
+            counted = column ^ uncounted
+            counted &= words[:, i, None]
+            counts += np.bitwise_count(counted)
+        return counts
 
     def settle(self, down: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A chunk's failed flags packed, and each row's verdict, solving the open rows."""
         Fw = _pack(down)
         zero = self._counts(Fw) == 0
-        verdict = np.where(zero.any(axis=1), (zero & self.up[:self.size]).any(axis=1), np.int8(-1))
+        verdict = np.where(zero.any(axis=0), zero[self.up[:self.size]].any(axis=0), np.int8(-1))
         todo = np.flatnonzero(verdict < 0)
         return Fw, self._solve_open(verdict, todo, Fw[todo].T)
 
@@ -163,15 +164,15 @@ class _Store:
         verdict = np.where(down == (base == 1)[:, None], base[:, None], -1)  # monotonicity
         counts, up = self._counts(Fw), self.up[:self.size]
         for kind in (True, False):
-            words, kind_counts = self.words[:self.size][up == kind], counts[:, up == kind]
+            words, kind_counts = self.words[:self.size][up == kind], counts[up == kind]
             # a count-0 set decides every flip outside it
-            zero, common = (kind_counts == 0).T, np.full_like(Fw, _ALL)
+            zero, common = kind_counts == 0, np.full_like(Fw, _ALL)
             for i, w in enumerate(words.T):
                 common[:, i] = np.bitwise_and.reduce(np.where(zero, w[:, None], _ALL), axis=0)
             outside = np.unpackbits(~common.view(np.uint8), axis=1, count=self.n, bitorder="little")
             verdict[outside.view(bool)] = kind
             # a count-1 set decides the flip of its one counted RV
-            s1, k1 = np.nonzero(kind_counts == 1)
+            k1, s1 = np.nonzero(kind_counts == 1)
             bits = (Fw[s1] if kind else ~Fw[s1]) & words[k1]
             j1 = np.where(bits > 0, np.bitwise_count(bits - 1) + 64 * np.arange(Fw.shape[1]), 0)
             verdict[s1, j1.sum(axis=1)] = kind
