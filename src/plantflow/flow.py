@@ -158,7 +158,8 @@ class LayeredGraph:
     each edge's bound also folds in its end-node capacities, end_caps[0]
     (tail) and end_caps[1] (head), owned by end_rvs; the station arcs then
     get a capacity larger than any achievable flow, standing in for
-    "unbounded" without infinities. topology holds the arcs' endpoints.
+    "unbounded" without infinities. topology holds the arcs' endpoints, and
+    num_rvs the length of the model's state vectors.
 
     Every finite float is an integer times a power of two, so nominal and
     end_caps hold whole numbers of 2**-shift units, with shift the smallest
@@ -176,14 +177,23 @@ class LayeredGraph:
     refs: tuple[int | str, ...]  # edge id for edge arcs, station node otherwise
     end_caps: np.ndarray
     end_rvs: np.ndarray
+    num_rvs: int
 
     @property
     def num_vertices(self) -> int:
         return self.topology.num_vertices
 
     def capacities(self, states) -> np.ndarray:
-        """Arc capacities, in 2**-shift units, under a 0/1 state vector ordered like the model."""
-        ext = np.ones(len(states) + 1, dtype=np.int64)  # ext[-1] = 1 serves arcs no RV owns
+        """Arc capacities, in 2**-shift units, under a 0/1 state vector ordered like the model.
+
+        Raises PlantDataError for a vector of another length or with an entry
+        other than 0 or 1 (bool vectors, the estimators' own, skip that scan).
+        """
+        states = np.asarray(states)
+        if states.shape != (self.num_rvs,) or (
+                states.dtype != bool and not ((states == 0) | (states == 1)).all()):
+            raise PlantDataError(f"a state vector holds {self.num_rvs} entries, each 0 or 1")
+        ext = np.ones(self.num_rvs + 1, dtype=np.int64)  # ext[-1] = 1 serves arcs no RV owns
         ext[:-1] = states
         caps = self.nominal * ext[self.arc_rv]
         if self.mode != STATION_THROUGHPUT:
@@ -210,9 +220,9 @@ class LayeredGraph:
                 station_cap[ref] = c / unit if bound_stations else math.inf
         return EffectiveCapacities(self.mode, edge_cap, station_cap)
 
-    def reads(self, num_rvs: int) -> np.ndarray:
+    def reads(self) -> np.ndarray:
         """reads[a, j]: capacities(states)[a] depends on states[j]."""
-        out = np.zeros((self.nominal.size, num_rvs + 1), dtype=bool)  # column -1: no RV
+        out = np.zeros((self.nominal.size, self.num_rvs + 1), dtype=bool)  # column -1: no RV
         arcs = np.arange(self.nominal.size)
         out[arcs, self.arc_rv] = True
         if self.mode != STATION_THROUGHPUT:
@@ -275,7 +285,7 @@ def build_layered_graph(
         shift=shift, nominal=np.array([units[c] for c in nominal], dtype=dtype),
         arc_rv=np.array(arc_rv, dtype=np.int64), kinds=tuple(kinds), refs=tuple(refs),
         end_caps=np.array([[units[c] for c in row] for row in end_caps], dtype=dtype),
-        end_rvs=end_rvs)
+        end_rvs=end_rvs, num_rvs=len(model))
 
 
 def _solve(graph: LayeredGraph, states, cutoff: int | None = None) -> dinic.MaxFlowResult:
@@ -422,7 +432,7 @@ class SystemFunction:
         num, den = self.target.as_integer_ratio()
         self.cutoff = -((-num << self.graph.shift) // den)  # ceil(target * 2**shift)
         self._unit = 2 ** self.graph.shift
-        self._reads = self.graph.reads(len(self.rv_ids))
+        self._reads = self.graph.reads()
         to = self.graph.topology.to
         self._tails, self._heads = np.array(to[1::2]), np.array(to[0::2])
 

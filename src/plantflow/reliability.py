@@ -33,14 +33,14 @@ any finite data, whatever order they are learned in, and "margins" and
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import rng
 from .errors import PlantDataError
-from .flow import MAXFLOW_BACKEND, SystemFunction, compile_system
+from .flow import MAXFLOW_BACKEND, compile_system
 from .model import STATION_THROUGHPUT, ComponentModel, PlantNetwork
 
 _STATE_CHUNK = 2048       # samples drawn per RNG call and settled together
@@ -100,27 +100,38 @@ def sample_assignment(model: ComponentModel, seed: int, index: int) -> dict[str,
     return {rv.rv_id: int(s) for rv, s in zip(model.rvs, states)}
 
 
-def _check_query(query: ReliabilityQuery, workers: int) -> None:
+def _iter_samples(model: ComponentModel, seed: int, lo: int, hi: int):
+    """Failed-RV flags (bool, samples x RVs) of samples lo..hi-1, one RNG chunk at a time."""
+    for rv in model.rvs:
+        if not 0.0 <= rv.p_fail <= 1.0:
+            raise PlantDataError(f"rv {rv.rv_id} p_fail {rv.p_fail} outside [0,1]")
+    n = len(model)
+    p = np.array([rv.p_fail for rv in model.rvs])
+    for s0 in range(lo, hi, _STATE_CHUNK):
+        s1 = min(s0 + _STATE_CHUNK, hi)
+        yield rng.uniform_block(seed, s0 * n, (s1 - s0) * n).reshape(s1 - s0, n) < p
+
+
+def _run(worker, net: PlantNetwork, model: ComponentModel, query: ReliabilityQuery,
+         workers: int, *extra) -> list:
+    """worker(net, model, query, *extra, lo, hi) per range of whole RNG chunks, in order;
+    a query of fewer chunks than workers gets fewer ranges, and one runs in this process."""
     if not math.isfinite(query.target_flow):
         raise ValueError(f"target_flow must be finite, got {query.target_flow}")
     if query.samples < 1:
         raise ValueError(f"samples must be positive, got {query.samples}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-
-
-def _worker_ranges(samples: int, workers: int) -> list[tuple[int, int]]:
-    cuts = [samples * w // workers for w in range(workers + 1)]
-    return [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
-
-
-def _iter_samples(model: ComponentModel, seed: int, lo: int, hi: int):
-    """Failed-RV flags (bool, samples x RVs) of samples lo..hi-1, one RNG chunk at a time."""
-    n = len(model)
-    p = np.array([rv.p_fail for rv in model.rvs])
-    for s0 in range(lo, hi, _STATE_CHUNK):
-        s1 = min(s0 + _STATE_CHUNK, hi)
-        yield rng.uniform_block(seed, s0 * n, (s1 - s0) * n).reshape(s1 - s0, n) < p
+    chunks = -(-query.samples // _STATE_CHUNK)
+    parts = min(workers, chunks)
+    cuts = [min(query.samples, chunks * w // parts * _STATE_CHUNK) for w in range(parts + 1)]
+    work = partial(worker, net, model, query, *extra)
+    if parts == 1:
+        return [work(*cuts)]
+    # imported here: the pool's modules cost import time that only a split run needs
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=parts) as pool:
+        return list(pool.map(work, cuts[:-1], cuts[1:]))
 
 
 def _pack(flags: np.ndarray) -> np.ndarray:
@@ -130,14 +141,18 @@ def _pack(flags: np.ndarray) -> np.ndarray:
 
 
 class _Store:
-    """Learned path and cut sets as packed rows; verdicts are 1 up, 0 down, -1 open.
+    """A query's compiled system and the path and cut sets its solves taught.
 
-    Past _WITNESSES_MAX solves, and on the lp backend, evaluate() decides alone.
+    settle() and flips() take failed-RV flags and give verdicts, True for up.
+    Inside, a set is a packed row and an open verdict is -1. Past
+    _WITNESSES_MAX solves, and on the lp backend, evaluate() decides alone.
     """
 
-    def __init__(self, sf: SystemFunction):
-        self.sf, self.n, self.size = sf, len(sf.rv_ids), 0
-        room = _WITNESSES_MAX if sf.backend == MAXFLOW_BACKEND else 0
+    def __init__(self, net: PlantNetwork, model: ComponentModel, query: ReliabilityQuery):
+        self.sf = compile_system(net, model, query.target_flow,
+                                 mode=query.mode, backend=query.backend)
+        self.n, self.size = len(model), 0
+        room = _WITNESSES_MAX if query.backend == MAXFLOW_BACKEND else 0
         self.words = _pack(np.zeros((room, self.n), dtype=bool))
         self.up = np.zeros(room, dtype=bool)  # the verdict each set forces
 
@@ -151,17 +166,18 @@ class _Store:
             counts += np.bitwise_count(counted)
         return counts
 
-    def settle(self, down: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A chunk's failed flags packed, and each row's verdict, solving the open rows."""
+    def settle(self, down: np.ndarray) -> np.ndarray:
+        """Each row's verdict, solving the rows no learned set decides."""
         Fw = _pack(down)
         zero = self._counts(Fw) == 0
         verdict = np.where(zero.any(axis=0), zero[self.up[:self.size]].any(axis=0), np.int8(-1))
         todo = np.flatnonzero(verdict < 0)
-        return Fw, self._solve_open(verdict, todo, Fw[todo].T)
+        return self._solve_open(verdict, todo, Fw[todo].T) == 1
 
-    def flips(self, down: np.ndarray, Fw: np.ndarray, base: np.ndarray) -> np.ndarray:
+    def flips(self, down: np.ndarray, base: np.ndarray) -> np.ndarray:
         """Verdict on each row with one RV flipped (rows x RVs), given the rows' own."""
-        verdict = np.where(down == (base == 1)[:, None], base[:, None], -1)  # monotonicity
+        Fw = _pack(down)
+        verdict = np.where(down == base[:, None], base[:, None], np.int8(-1))  # monotonicity
         counts, up = self._counts(Fw), self.up[:self.size]
         for kind in (True, False):
             words, kind_counts = self.words[:self.size][up == kind], counts[up == kind]
@@ -179,7 +195,7 @@ class _Store:
         todo = np.flatnonzero(verdict < 0)
         flipped = Fw[todo // self.n] ^ _pack(np.eye(self.n, dtype=bool))[todo % self.n]
         self._solve_open(verdict.reshape(-1), todo, flipped.T)
-        return verdict
+        return verdict == 1
 
     def _solve_open(self, verdict: np.ndarray, todo: np.ndarray, failed: np.ndarray):
         """Fill verdict[todo] in order, failed[:, i] packing entry i's failed RVs. Each
@@ -204,11 +220,9 @@ class _Store:
         return np.unpackbits(bits, count=self.n, bitorder="little") == 0
 
 
-def _count_failures(args) -> int:
-    net, model, query, lo, hi = args
-    known = _Store(compile_system(net, model, query.target_flow,
-                                  mode=query.mode, backend=query.backend))
-    return sum(int((known.settle(down)[1] == 0).sum())
+def _count_failures(net, model, query, lo: int, hi: int) -> int:
+    known = _Store(net, model, query)
+    return sum(int(np.count_nonzero(~known.settle(down)))
                for down in _iter_samples(model, query.seed, lo, hi))
 
 
@@ -219,45 +233,31 @@ def estimate_failure_probability(
     workers: int = 1,
 ) -> ReliabilityReport:
     """Monte Carlo estimate of P(throughput < target), strict inequality."""
-    _check_query(query, workers)
-    tasks = [(net, model, query, lo, hi)
-             for lo, hi in _worker_ranges(query.samples, workers)]
-    if workers == 1:
-        failures = _count_failures(tasks[0])
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            failures = sum(pool.map(_count_failures, tasks))
-    n = query.samples
-    p_hat = failures / n
-    se = float(np.sqrt(p_hat * (1.0 - p_hat) / n))
-    return ReliabilityReport(query=query, failures=failures,
-                             failure_probability=p_hat, std_error=se)
+    failures = sum(_run(_count_failures, net, model, query, workers))
+    p_hat = failures / query.samples
+    return ReliabilityReport(query=query, failures=failures, failure_probability=p_hat,
+                             std_error=float(np.sqrt(p_hat * (1.0 - p_hat) / query.samples)))
 
 
-def _importance_counts(args) -> tuple[np.ndarray, np.ndarray]:
-    net, model, query, method, lo, hi = args
-    sf = compile_system(net, model, query.target_flow,
-                        mode=query.mode, backend=query.backend)
-    n_rvs = len(model)
-    plus, minus = np.zeros((2, n_rvs), dtype=np.int64)
-    known = _Store(sf)
-
+def _importance_counts(net, model, query, method: str,
+                       lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    known = _Store(net, model, query)
+    plus, minus = np.zeros((2, len(model)), dtype=np.int64)
     for down in _iter_samples(model, query.seed, lo, hi):
         if method == DIRECT_METHOD:
-            for states in (~down).astype(np.float64):
-                for j in range(n_rvs):
-                    for state, counts in ((1.0, plus), (0.0, minus)):
+            for states in ~down:
+                for j in range(len(model)):
+                    for state, counts in ((True, plus), (False, minus)):
                         row = states.copy()
                         row[j] = state
-                        counts[j] += sf.evaluate(row)
+                        counts[j] += known.sf.evaluate(row)
             continue
 
         # of the two arms of a (sample, component), one is the sample itself
-        Fw, base = known.settle(down)
-        flipped_up = known.flips(down, Fw, base) == 1
-        base_up = (base == 1)[:, None]
-        plus += np.where(down, flipped_up, base_up).sum(axis=0)
-        minus += np.where(down, base_up, flipped_up).sum(axis=0)
+        up = known.settle(down)
+        flipped, up = known.flips(down, up), up[:, None]
+        plus += np.where(down, flipped, up).sum(axis=0)
+        minus += np.where(down, up, flipped).sum(axis=0)
     return plus, minus
 
 
@@ -278,27 +278,14 @@ def birnbaum_importance(
     """
     if method not in (MARGINS_METHOD, DIRECT_METHOD):
         raise PlantDataError(f"unknown importance method {method!r}")
-    _check_query(query, workers)
-    tasks = [(net, model, query, method, lo, hi)
-             for lo, hi in _worker_ranges(query.samples, workers)]
-    if workers == 1:
-        parts = [_importance_counts(tasks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_importance_counts, tasks))
-    plus, minus = np.sum(parts, axis=0)
+    plus, minus = np.sum(_run(_importance_counts, net, model, query, workers, method), axis=0)
 
     n = query.samples
-    p_plus = plus / n
-    p_minus = minus / n
+    p_plus, p_minus = plus / n, minus / n
     se = np.sqrt(p_plus * (1 - p_plus) / n + p_minus * (1 - p_minus) / n)
-    entries = tuple(
-        ImportanceEntry(rv_id=rv.rv_id,
-                        importance=float(p_plus[j] - p_minus[j]),
-                        std_error=float(se[j]))
-        for j, rv in enumerate(model.rvs)
-    )
-    return ImportanceReport(query=query, entries=entries)
+    return ImportanceReport(query=query, entries=tuple(
+        ImportanceEntry(rv.rv_id, float(p_plus[j] - p_minus[j]), float(se[j]))
+        for j, rv in enumerate(model.rvs)))
 
 
 def rank_components(

@@ -63,7 +63,35 @@ def _say(num: int, ok: bool, detail: str, contract: bool = False) -> None:
     assert ok, line
 
 
+def _pfail_rows(by_mode) -> list:
+    rows = []
+    for (name, mode), (p, se) in sorted(by_mode.items()):
+        centre = _BANDS[name][1]
+        band = f"{centre - _BAND_HALF_WIDTH:.3f}..{centre + _BAND_HALF_WIDTH:.3f}"
+        rows.append(f"| {name} | {mode} | {p:.5f} | {se:.5f} | {band} |")
+    return rows
+
+
+def _importance_rows(rep) -> list:
+    by_id = {e.rv_id: e for e in rep.entries}
+    return [f"| {rv_id} | {by_id[rv_id].importance:.5f} "
+            f"| {by_id[rv_id].std_error:.5f} | {lo:.2f}..{hi:.2f} |"
+            for tier, lo, hi in _TIER_BANDS for rv_id in tier]
+
+
+def _report_has(rows) -> bool:
+    """The tracked report holds every one of these freshly computed rows."""
+    return REPORT_PATH.exists() and set(rows) <= set(REPORT_PATH.read_text().splitlines())
+
+
 def _write_report() -> None:
+    """Rewrite the report once both criteria have cached their results.
+
+    Running one criterion alone leaves the tracked file as it is; that
+    criterion then checks its own rows against the file instead.
+    """
+    if "pfail_by_mode" not in _cache or "gas_importance" not in _cache:
+        return
     REPORT_PATH.parent.mkdir(exist_ok=True)
     lines = [
         "# Semantics sensitivity report: gas benchmark",
@@ -83,43 +111,26 @@ def _write_report() -> None:
         "",
         "All figures below: 100000 samples, seed 42, max-flow backend.",
         "",
+        "## Failure probability by capacity semantics (target 0.5)",
+        "",
+        "| network | mode | estimate | std error | reference band |",
+        "|---|---|---|---|---|",
+        *_pfail_rows(_cache["pfail_by_mode"]),
+        "",
+        "## Birnbaum importance tiers, default semantics",
+        "",
+        "| component | measured | std error | expected band |",
+        "|---|---|---|---|",
+        *_importance_rows(_cache["gas_importance"]),
+        "",
+        "Under per-label routing the second-tier components are single",
+        "points of failure exactly like the first tier (the 55-chain",
+        "carries 0.5 of the 0.75 total, so losing it drops throughput",
+        "below the 0.5 target), which merges the two tiers near 0.78.",
+        "The 53-chain components (X28, X82, X84, X85) become irrelevant",
+        "to reaching the target and measure 0.",
+        "",
     ]
-    if "pfail_by_mode" in _cache:
-        lines += [
-            "## Failure probability by capacity semantics (target 0.5)",
-            "",
-            "| network | mode | estimate | std error | reference band |",
-            "|---|---|---|---|---|",
-        ]
-        for (name, mode), (p, se) in sorted(_cache["pfail_by_mode"].items()):
-            centre = _BANDS[name][1]
-            band = f"{centre - _BAND_HALF_WIDTH:.3f}..{centre + _BAND_HALF_WIDTH:.3f}"
-            lines.append(f"| {name} | {mode} | {p:.5f} | {se:.5f} | {band} |")
-        lines.append("")
-    if "gas_importance" in _cache:
-        rep = _cache["gas_importance"]
-        by_id = {e.rv_id: e for e in rep.entries}
-        lines += [
-            "## Birnbaum importance tiers, default semantics",
-            "",
-            "| component | measured | std error | expected band |",
-            "|---|---|---|---|",
-        ]
-        for tier, lo, hi in _TIER_BANDS:
-            for rv_id in tier:
-                e = by_id[rv_id]
-                lines.append(f"| {rv_id} | {e.importance:.5f} "
-                             f"| {e.std_error:.5f} | {lo:.2f}..{hi:.2f} |")
-        lines += [
-            "",
-            "Under per-label routing the second-tier components are single",
-            "points of failure exactly like the first tier (the 55-chain",
-            "carries 0.5 of the 0.75 total, so losing it drops throughput",
-            "below the 0.5 target), which merges the two tiers near 0.78.",
-            "The 53-chain components (X28, X82, X84, X85) become irrelevant",
-            "to reaching the target and measure 0.",
-            "",
-        ]
     REPORT_PATH.write_text("\n".join(lines))
 
 
@@ -198,7 +209,7 @@ def test_criterion_3_failure_probability_bands():
             (name, mode) in by_mode
             for name in misses
             for mode in (STATION_THROUGHPUT, EDGE_MIN, EDGE_MAX))
-        ok = ok and have_all_modes and REPORT_PATH.exists()
+        ok = ok and have_all_modes and _report_has(_pfail_rows(by_mode))
         extra = (f"; {','.join(misses)} out of band under default semantics, "
                  f"all modes run, report at {REPORT_PATH.name}")
     else:
@@ -236,7 +247,7 @@ def test_criterion_4_birnbaum_tiers():
     # same documented escape as criterion 3: the miss and the measured
     # tiers go into the discrepancy report; properties must still hold
     _write_report()
-    ok = REPORT_PATH.exists() and "Birnbaum" in REPORT_PATH.read_text()
+    ok = _report_has(_importance_rows(rep))
     _say(4, ok,
          f"gas tiers measured {tier_txt} vs bands 0.80-0.88/0.11-0.19/"
          f"0.02-0.08, separation={separated}; recorded in {REPORT_PATH.name}",

@@ -432,6 +432,27 @@ def test_system_function_lp_backend_agrees():
             assert abs(fast.flow_value(states) - slow.flow_value(states)) <= 1e-9
 
 
+@pytest.mark.parametrize("backend", ["lp", "maxflow"])
+@pytest.mark.parametrize("states", [
+    np.full(22, 2.0),        # would double every owned capacity
+    np.full(22, 0.5),        # would truncate to all down
+    np.r_[np.ones(21), np.nan],
+    np.ones(23),
+    np.ones(3),
+    np.ones((1, 22)),
+])
+def test_state_vectors_hold_one_0_or_1_per_rv(backend, states):
+    doc = datasets.builtin("didactic")
+    assert len(doc.model) == 22
+    fn = compile_system(doc.network, doc.model, target=1.0, backend=backend)
+    for query in (fn.flow_value, fn.evaluate):
+        with pytest.raises(PlantDataError, match="22 entries"):
+            query(states)
+    # the accepted forms: 0/1 floats or ints, and bools
+    for good in (np.ones(22), [1] * 22, np.ones(22, dtype=bool)):
+        assert fn.evaluate(good)
+
+
 @pytest.mark.parametrize("name", datasets.BUILTINS)
 def test_every_builtin_has_exact_arithmetic(name):
     # the compile step holds every capacity as a whole number of 2**-shift
@@ -520,7 +541,7 @@ def test_reads_cover_every_capacity_dependence(mode):
         doc = datasets.builtin(name)
         g = build_layered_graph(doc.network, doc.model, mode)
         n = len(doc.model)
-        reads = g.reads(n)
+        reads = g.reads()
         assert reads.shape == (g.nominal.size, n)
         rnd = random.Random(f"{name}/{mode}")
         for _ in range(20):

@@ -2,12 +2,14 @@
 learned-set fast path against plain double evaluation, and variance behaviour.
 """
 
+import concurrent.futures
 import math
 
 import numpy as np
 import pytest
 
 from plantflow import datasets, reliability
+from plantflow.errors import PlantDataError
 from plantflow.flow import SystemFunction, compile_system, max_processable_flow
 from plantflow.model import (
     EDGE_MIN,
@@ -271,6 +273,58 @@ def test_query_validation():
         estimate_failure_probability(
             doc.network, doc.model,
             ReliabilityQuery(target_flow=1.0, samples=10), workers=0)
+
+
+@pytest.mark.parametrize("p_fail", [1.5, -0.1, math.nan])
+def test_sampler_refuses_probabilities_outside_the_unit_interval(p_fail):
+    doc = datasets.builtin("didactic")
+    model = with_p(doc, {"p8_9": p_fail}, default=0.01)
+    q = ReliabilityQuery(target_flow=1.0, samples=10)
+    for run in (estimate_failure_probability, birnbaum_importance):
+        with pytest.raises(PlantDataError, match=r"rv p8_9 p_fail .* outside \[0,1\]"):
+            run(doc.network, model, q)
+    with pytest.raises(PlantDataError, match="rv p8_9"):
+        sample_states(model, 1, 0)
+
+
+class _RefusedPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was opened")
+
+
+def test_fewer_samples_than_workers_run_in_process(monkeypatch):
+    doc = datasets.builtin("gas")
+    q = ReliabilityQuery(target_flow=0.5, samples=3, seed=42)
+    one = (estimate_failure_probability(doc.network, doc.model, q),
+           birnbaum_importance(doc.network, doc.model, q))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RefusedPool)
+    if hasattr(reliability, "ProcessPoolExecutor"):
+        monkeypatch.setattr(reliability, "ProcessPoolExecutor", _RefusedPool)
+    eight = (estimate_failure_probability(doc.network, doc.model, q, workers=8),
+             birnbaum_importance(doc.network, doc.model, q, workers=8))
+    assert eight == one
+
+
+def test_split_runs_take_whole_rng_chunks(monkeypatch):
+    # two chunks and one sample: eight workers get three ranges, in a real pool
+    ranges = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            ranges.append(max_workers)
+            super().__init__(max_workers)
+
+        def map(self, fn, los, his):
+            ranges.append(list(zip(los, his)))
+            return super().map(fn, los, his)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    doc = datasets.builtin("didactic")
+    chunk = reliability._STATE_CHUNK
+    q = ReliabilityQuery(target_flow=1.0, samples=2 * chunk + 1, seed=21)
+    split = birnbaum_importance(doc.network, doc.model, q, workers=8)
+    assert ranges == [3, [(0, chunk), (chunk, 2 * chunk), (2 * chunk, 2 * chunk + 1)]]
+    assert split == birnbaum_importance(doc.network, doc.model, q)
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf])
