@@ -184,11 +184,8 @@ class LayeredGraph:
         return self.topology.num_vertices
 
     def capacities(self, states) -> np.ndarray:
-        """Arc capacities, in 2**-shift units, under a 0/1 state vector ordered like the model.
-
-        Raises PlantDataError for a vector of another length or with an entry
-        other than 0 or 1 (bool vectors, the estimators' own, skip that scan).
-        """
+        """Arc capacities, in 2**-shift units, under a 0/1 state vector ordered like the model;
+        PlantDataError for any other vector (bools, the estimators' own, skip the value scan)."""
         states = np.asarray(states)
         if states.shape != (self.num_rvs,) or (
                 states.dtype != bool and not ((states == 0) | (states == 1)).all()):

@@ -216,11 +216,16 @@ def validate_model(net: PlantNetwork, model: ComponentModel) -> ValidationReport
         if rv.rv_id in seen:
             bad.append((i, Violation("duplicate-rv-id", f"rv id {rv.rv_id!r} used twice")))
         seen.add(rv.rv_id)
-        if not 0.0 <= rv.p_fail <= 1.0:
-            bad.append((i, Violation("probability", f"rv {rv.rv_id} p_fail {rv.p_fail} outside [0,1]")))
     # stable by RV: each RV's own checks come before its asset checks
-    bad = sorted(bad + _walk_assets(net, model)[1], key=lambda iv: iv[0])
+    bad = sorted(bad + probability_violations(model) + _walk_assets(net, model)[1],
+                 key=lambda iv: iv[0])
     return ValidationReport(tuple(v for _, v in bad))
+
+
+def probability_violations(model: ComponentModel) -> list[tuple[int, Violation]]:
+    """The probability rule: each p_fail lies in [0, 1], which NaN does not."""
+    return [(i, Violation("probability", f"rv {rv.rv_id} p_fail {rv.p_fail} outside [0,1]"))
+            for i, rv in enumerate(model.rvs) if not 0.0 <= rv.p_fail <= 1.0]
 
 
 def check_mode(mode: str) -> None:

@@ -41,7 +41,7 @@ import numpy as np
 from . import rng
 from .errors import PlantDataError
 from .flow import MAXFLOW_BACKEND, compile_system
-from .model import STATION_THROUGHPUT, ComponentModel, PlantNetwork
+from .model import STATION_THROUGHPUT, ComponentModel, PlantNetwork, probability_violations
 
 _STATE_CHUNK = 2048       # samples drawn per RNG call and settled together
 _WITNESSES_MAX = 512      # solves that teach a set; bounds a chunk's counts at S x 512
@@ -102,9 +102,8 @@ def sample_assignment(model: ComponentModel, seed: int, index: int) -> dict[str,
 
 def _iter_samples(model: ComponentModel, seed: int, lo: int, hi: int):
     """Failed-RV flags (bool, samples x RVs) of samples lo..hi-1, one RNG chunk at a time."""
-    for rv in model.rvs:
-        if not 0.0 <= rv.p_fail <= 1.0:
-            raise PlantDataError(f"rv {rv.rv_id} p_fail {rv.p_fail} outside [0,1]")
+    if bad := probability_violations(model):
+        raise PlantDataError(bad[0][1].message)
     n = len(model)
     p = np.array([rv.p_fail for rv in model.rvs])
     for s0 in range(lo, hi, _STATE_CHUNK):
@@ -114,17 +113,16 @@ def _iter_samples(model: ComponentModel, seed: int, lo: int, hi: int):
 
 def _run(worker, net: PlantNetwork, model: ComponentModel, query: ReliabilityQuery,
          workers: int, *extra) -> list:
-    """worker(net, model, query, *extra, lo, hi) per range of whole RNG chunks, in order;
-    a query of fewer chunks than workers gets fewer ranges, and one runs in this process."""
+    """worker(net, model, query, *extra, lo, hi) per worker's contiguous range of samples,
+    in order; one worker, or fewer samples than workers, runs in this process."""
     if not math.isfinite(query.target_flow):
         raise ValueError(f"target_flow must be finite, got {query.target_flow}")
     if query.samples < 1:
         raise ValueError(f"samples must be positive, got {query.samples}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
-    chunks = -(-query.samples // _STATE_CHUNK)
-    parts = min(workers, chunks)
-    cuts = [min(query.samples, chunks * w // parts * _STATE_CHUNK) for w in range(parts + 1)]
+    parts = workers if query.samples >= workers else 1
+    cuts = [query.samples * w // parts for w in range(parts + 1)]
     work = partial(worker, net, model, query, *extra)
     if parts == 1:
         return [work(*cuts)]

@@ -84,54 +84,63 @@ def _report_has(rows) -> bool:
     return REPORT_PATH.exists() and set(rows) <= set(REPORT_PATH.read_text().splitlines())
 
 
-def _write_report() -> None:
-    """Rewrite the report once both criteria have cached their results.
+_REPORT_INTRO = [
+    "# Semantics sensitivity report: gas benchmark",
+    "",
+    "The gas dataset's reference values (failure probability 0.229 at",
+    "target 0.5; importance tiers near 0.84 / 0.15 / 0.04-0.06) presuppose",
+    "that flow carrying different stage labels may merge at junction",
+    "nodes.  This package conserves each transition stage's flow",
+    "separately at non-station nodes, which is the documented contract",
+    "for all three capacity semantics.  Under that contract the fully",
+    "functional gas network moves 0.75, not 1.0: station 53's stage-2",
+    "intake is limited to 0.25 by its only feed (38 -> 37 -> 53, where",
+    "station 38 bridges at most 0.25), and thirteen of the stage-2",
+    "stations have no stage-2 path to any stage-3 station at all.  The",
+    "didactic and pressure datasets are unaffected; their benchmark",
+    "values reproduce exactly.",
+    "",
+    "All figures below: 100000 samples, seed 42, max-flow backend.",
+    "",
+]
+_PFAIL_HEADER = "## Failure probability by capacity semantics (target 0.5)"
+_IMPORTANCE_HEADER = "## Birnbaum importance tiers, default semantics"
 
-    Running one criterion alone leaves the tracked file as it is; that
-    criterion then checks its own rows against the file instead.
-    """
-    if "pfail_by_mode" not in _cache or "gas_importance" not in _cache:
-        return
+
+def _pfail_section(by_mode) -> list:
+    return [_PFAIL_HEADER, "",
+            "| network | mode | estimate | std error | reference band |",
+            "|---|---|---|---|---|",
+            *_pfail_rows(by_mode), ""]
+
+
+def _importance_section(rep) -> list:
+    return [_IMPORTANCE_HEADER, "",
+            "| component | measured | std error | expected band |",
+            "|---|---|---|---|",
+            *_importance_rows(rep), "",
+            "Under per-label routing the second-tier components are single",
+            "points of failure exactly like the first tier (the 55-chain",
+            "carries 0.5 of the 0.75 total, so losing it drops throughput",
+            "below the 0.5 target), which merges the two tiers near 0.78.",
+            "The 53-chain components (X28, X82, X84, X85) become irrelevant",
+            "to reaching the target and measure 0.",
+            ""]
+
+
+def _write_section(section: list) -> None:
+    """Replace one criterion's section of the report, from its header to the
+    next, and keep the other criterion's section as the file has it."""
+    sections, header = {}, None
+    if REPORT_PATH.exists():
+        for line in REPORT_PATH.read_text().split("\n"):
+            header = line if line.startswith("## ") else header
+            if header is not None:
+                sections.setdefault(header, []).append(line)
+    sections[section[0]] = section
     REPORT_PATH.parent.mkdir(exist_ok=True)
-    lines = [
-        "# Semantics sensitivity report: gas benchmark",
-        "",
-        "The gas dataset's reference values (failure probability 0.229 at",
-        "target 0.5; importance tiers near 0.84 / 0.15 / 0.04-0.06) presuppose",
-        "that flow carrying different stage labels may merge at junction",
-        "nodes.  This package conserves each transition stage's flow",
-        "separately at non-station nodes, which is the documented contract",
-        "for all three capacity semantics.  Under that contract the fully",
-        "functional gas network moves 0.75, not 1.0: station 53's stage-2",
-        "intake is limited to 0.25 by its only feed (38 -> 37 -> 53, where",
-        "station 38 bridges at most 0.25), and thirteen of the stage-2",
-        "stations have no stage-2 path to any stage-3 station at all.  The",
-        "didactic and pressure datasets are unaffected; their benchmark",
-        "values reproduce exactly.",
-        "",
-        "All figures below: 100000 samples, seed 42, max-flow backend.",
-        "",
-        "## Failure probability by capacity semantics (target 0.5)",
-        "",
-        "| network | mode | estimate | std error | reference band |",
-        "|---|---|---|---|---|",
-        *_pfail_rows(_cache["pfail_by_mode"]),
-        "",
-        "## Birnbaum importance tiers, default semantics",
-        "",
-        "| component | measured | std error | expected band |",
-        "|---|---|---|---|",
-        *_importance_rows(_cache["gas_importance"]),
-        "",
-        "Under per-label routing the second-tier components are single",
-        "points of failure exactly like the first tier (the 55-chain",
-        "carries 0.5 of the 0.75 total, so losing it drops throughput",
-        "below the 0.5 target), which merges the two tiers near 0.78.",
-        "The 53-chain components (X28, X82, X84, X85) become irrelevant",
-        "to reaching the target and measure 0.",
-        "",
-    ]
-    REPORT_PATH.write_text("\n".join(lines))
+    REPORT_PATH.write_text("\n".join(_REPORT_INTRO + [
+        line for h in (_PFAIL_HEADER, _IMPORTANCE_HEADER) for line in sections.get(h, [])]))
 
 
 def test_criterion_1_didactic_scenario_triple():
@@ -197,9 +206,8 @@ def test_criterion_3_failure_probability_bands():
                                  samples=100_000, seed=42)
             rep = estimate_failure_probability(doc.network, doc.model, q)
             by_mode[(name, mode)] = (rep.failure_probability, rep.std_error)
-    _cache["pfail_by_mode"] = by_mode
     if misses:
-        _write_report()
+        _write_section(_pfail_section(by_mode))
 
     elapsed = time.time() - t0
     ok = elapsed <= 600.0
@@ -246,7 +254,7 @@ def test_criterion_4_birnbaum_tiers():
 
     # same documented escape as criterion 3: the miss and the measured
     # tiers go into the discrepancy report; properties must still hold
-    _write_report()
+    _write_section(_importance_section(rep))
     ok = _report_has(_importance_rows(rep))
     _say(4, ok,
          f"gas tiers measured {tier_txt} vs bands 0.80-0.88/0.11-0.19/"

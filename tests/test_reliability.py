@@ -305,28 +305,6 @@ def test_fewer_samples_than_workers_run_in_process(monkeypatch):
     assert eight == one
 
 
-def test_split_runs_take_whole_rng_chunks(monkeypatch):
-    # two chunks and one sample: eight workers get three ranges, in a real pool
-    ranges = []
-
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            ranges.append(max_workers)
-            super().__init__(max_workers)
-
-        def map(self, fn, los, his):
-            ranges.append(list(zip(los, his)))
-            return super().map(fn, los, his)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    doc = datasets.builtin("didactic")
-    chunk = reliability._STATE_CHUNK
-    q = ReliabilityQuery(target_flow=1.0, samples=2 * chunk + 1, seed=21)
-    split = birnbaum_importance(doc.network, doc.model, q, workers=8)
-    assert ranges == [3, [(0, chunk), (chunk, 2 * chunk), (2 * chunk, 2 * chunk + 1)]]
-    assert split == birnbaum_importance(doc.network, doc.model, q)
-
-
 @pytest.mark.parametrize("target", [math.nan, math.inf])
 def test_query_rejects_non_finite_target(target):
     doc = datasets.builtin("didactic")
@@ -388,11 +366,21 @@ def test_direct_method_evaluates_both_arms_and_learns_nothing(monkeypatch):
     assert len(calls) == 2 * len(doc.model) * q.samples
 
 
-def test_importance_worker_identity():
+def test_importance_worker_identity(monkeypatch):
+    # each worker gets an even contiguous range, in a real pool
+    ranges = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, los, his):
+            ranges.append(list(zip(los, his)))
+            return super().map(fn, los, his)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     doc = datasets.builtin("didactic")
     q = ReliabilityQuery(target_flow=1.0, samples=1500, seed=21)
     reports = [birnbaum_importance(doc.network, doc.model, q, workers=w)
                for w in (1, 2, 8)]
+    assert ranges == [[(1500 * i // w, 1500 * (i + 1) // w) for i in range(w)] for w in (2, 8)]
     for other in reports[1:]:
         for x, y in zip(reports[0].entries, other.entries):
             assert x.importance == y.importance
