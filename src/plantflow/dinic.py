@@ -47,16 +47,20 @@ class MaxFlowResult:
 
     Both are in the units of the capacities given. source_side[v] says
     whether vertex v was reached from the source by the final search, which
-    found no augmenting path; with exact arithmetic (integer capacities) the
-    arcs leaving that side are saturated and form a minimum cut. When a
-    cutoff stops the search early, value is the flow at the moment the
-    cutoff was met (>= cutoff), arc_flow describes that partial flow, not a
-    maximum one, and source_side is None.
+    found no augmenting path; sink_side[v] whether v can still reach the
+    sink in the final residual graph. With exact arithmetic (integer
+    capacities) each side gives a minimum cut, its two extremes: the arcs
+    leaving the source side, closest to the source, and the arcs entering
+    the sink side, closest to the sink. Both are saturated and carry value.
+    When a cutoff stops the search early, value is the flow at the moment
+    the cutoff was met (>= cutoff), arc_flow describes that partial flow,
+    not a maximum one, and both sides are None.
     """
 
     value: int | float
     arc_flow: tuple[int | float, ...]
     source_side: tuple[bool, ...] | None
+    sink_side: tuple[bool, ...] | None
 
 
 def max_flow(topology: Topology, caps, cutoff: int | float | None = None) -> MaxFlowResult:
@@ -99,7 +103,7 @@ def max_flow(topology: Topology, caps, cutoff: int | float | None = None) -> Max
                     res[a ^ 1] += pushed
                 flow += pushed
                 if cutoff is not None and flow >= cutoff:
-                    return MaxFlowResult(flow, tuple(res[1::2]), None)
+                    return MaxFlowResult(flow, tuple(res[1::2]), None, None)
                 v = source
                 path.clear()
                 continue
@@ -118,5 +122,15 @@ def max_flow(topology: Topology, caps, cutoff: int | float | None = None) -> Max
                 v = to[dead ^ 1]
                 cursor[v] += 1
 
+    # backwards from the sink: u reaches v over arc a^1 when a leaves v towards u
+    reaches = [False] * n
+    reaches[sink] = True
+    queue = [sink]
+    for v in queue:
+        for a in adj[v]:
+            u = to[a]
+            if not reaches[u] and res[a ^ 1] > 0:
+                reaches[u] = True
+                queue.append(u)
     # reverse residual equals the flow carried by the forward arc
-    return MaxFlowResult(flow, tuple(res[1::2]), tuple([d >= 0 for d in level]))
+    return MaxFlowResult(flow, tuple(res[1::2]), tuple([d >= 0 for d in level]), tuple(reaches))

@@ -458,22 +458,26 @@ class SystemFunction:
         A survivor's set holds the up RVs read by the arcs that carry its
         flow: a path set, since that flow stays feasible in any state vector
         with those RVs up, so every such vector survives. A failure's set
-        holds the failed RVs read by the arcs leaving the final search's
-        source side: a cut set, whose capacity no vector with those RVs down
-        can raise above this flow, so every such vector fails. An arc reads
-        its owning RV and, in the edge-min and edge-max modes, the RVs of its
-        end nodes. Both arguments rest on the exact integer arithmetic.
+        holds the failed RVs read by the extreme minimum cut with fewer
+        failed components: the arcs entering the sink side or, on a tie, the
+        arcs leaving the source side. Either is a cut set, whose capacity no
+        vector with those RVs down can raise above this flow, so every such
+        vector fails. An arc reads its owning RV and, in the edge-min and
+        edge-max modes, the RVs of its end nodes. Both arguments rest on the
+        exact integer arithmetic.
         """
         if self.backend == LP_BACKEND:
             raise PlantDataError("witnesses need the maxflow backend")
         result = _solve(self.graph, states, self.cutoff)
         up = result.value >= self.cutoff
+        held = np.asarray(states) == up
         if up:
-            arcs = np.fromiter(result.arc_flow, dtype=bool)
-        else:
-            side = np.frombuffer(bytes(result.source_side), dtype=bool)
-            arcs = side[self._tails] & ~side[self._heads]
-        return up, self._reads[arcs].any(axis=0) & (np.asarray(states) == up)
+            return up, self._reads[np.fromiter(result.arc_flow, dtype=bool)].any(axis=0) & held
+        source, sink = (np.frombuffer(bytes(side), dtype=bool)
+                        for side in (result.source_side, result.sink_side))
+        first = self._reads[source[self._tails] & ~source[self._heads]].any(axis=0) & held
+        last = self._reads[~sink[self._tails] & sink[self._heads]].any(axis=0) & held
+        return up, last if np.count_nonzero(last) < np.count_nonzero(first) else first
 
     def _lp_value(self, states) -> float:
         return _lp_optimum(build_flow_lp(self.net, self.graph.effective(states))).objective_value

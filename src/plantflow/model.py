@@ -13,6 +13,9 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
+from . import rng
 from .errors import MappingError, PlantDataError
 
 STATION_THROUGHPUT = "station-throughput"
@@ -111,6 +114,19 @@ class ComponentModel:
     @cached_property
     def rv_index(self) -> dict[str, int]:
         return {rv.rv_id: i for i, rv in enumerate(self.rvs)}
+
+    @cached_property
+    def fail_limits(self) -> np.ndarray:
+        """rng.word_limit(p_fail) per RV, read-only uint64: word k fails the RV when k < limit.
+
+        PlantDataError when a p_fail breaks the probability rule; nothing is
+        cached then, so every access refuses it.
+        """
+        if bad := probability_violations(self):
+            raise PlantDataError(bad[0][1].message)
+        limits = np.array([rng.word_limit(rv.p_fail) for rv in self.rvs], dtype=np.uint64)
+        limits.flags.writeable = False
+        return limits
 
     def __len__(self) -> int:
         return len(self.rvs)

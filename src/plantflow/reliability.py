@@ -12,17 +12,23 @@ Determinism contract: results depend on (model, query) only. The counter RNG
 assigns uniform i = sample * num_rvs + rv_index, so chunk sizes and worker
 counts cannot shift the stream; worker results are integer counts whose sum
 is order-independent. The same query therefore gives bit-identical reports
-at any worker count.
+at any worker count. An RV fails when its uniform k * 2**-53 is below p_fail;
+the sampler reads the 53-bit word k and tests k < ceil(p_fail * 2**53), the
+integer limit that ComponentModel.fail_limits holds, which is the same test
+exactly because p_fail * 2**53 is exact.
 
 Both estimators skip solves whose outcome is forced. Throughput is monotone
 in component states, so every solve that decides a state vector also yields
 a witness (SystemFunction.decide): a path set when the plant survives (any
 vector with those RVs up survives) or a cut set when it fails (any vector
-with those RVs down fails). A store of these sets judges a whole RNG chunk
-at once: a set decides a vector when its count, the path set's failed RVs or
-the cut set's up RVs, is 0, and importance reads the same counts for every
-single-component flip. Only what no set decides is solved, in sample order.
-The brute-force "direct" method evaluates every vector and is the reference.
+with those RVs down fails). A cut set holds the failed RVs of the extreme
+minimum cut with fewer of them, usually the sink-side one, which holds
+little more than the component that cut the flow. A store of these sets
+judges a whole RNG chunk at once: a set decides a vector when its count, the
+path set's failed RVs or the cut set's up RVs, is 0, and importance reads
+the same counts for every single-component flip. Only what no set decides is
+solved, in sample order. The brute-force "direct" method evaluates every
+vector and is the reference.
 
 Survival compares exact integers (the max-flow backend scales every
 capacity to a whole number of 2**-k units), so the learned sets are sound on
@@ -41,7 +47,7 @@ import numpy as np
 from . import rng
 from .errors import PlantDataError
 from .flow import MAXFLOW_BACKEND, compile_system
-from .model import STATION_THROUGHPUT, ComponentModel, PlantNetwork, probability_violations
+from .model import STATION_THROUGHPUT, ComponentModel, PlantNetwork
 
 _STATE_CHUNK = 2048       # samples drawn per RNG call and settled together
 _WITNESSES_MAX = 512      # solves that teach a set; bounds a chunk's counts at S x 512
@@ -91,24 +97,26 @@ class RankedComponents:
 
 def sample_states(model: ComponentModel, seed: int, index: int) -> np.ndarray:
     """State vector (1.0 up / 0.0 down) of one sample, in model order."""
-    return (~next(_iter_samples(model, seed, index, index + 1))[0]).astype(np.float64)
+    return (~_draw(model, seed, index, index + 1)[0]).astype(np.float64)
 
 
 def sample_assignment(model: ComponentModel, seed: int, index: int) -> dict[str, int]:
     """The same sample as a {rv_id: state} mapping, for scenario replay."""
-    states = sample_states(model, seed, index)
-    return {rv.rv_id: int(s) for rv, s in zip(model.rvs, states)}
+    states = sample_states(model, seed, index).astype(int).tolist()
+    return dict(zip((rv.rv_id for rv in model.rvs), states))
+
+
+def _draw(model: ComponentModel, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Failed-RV flags (bool, samples x RVs) of samples lo..hi-1."""
+    limits = model.fail_limits
+    n = len(limits)
+    return rng.word_block(seed, lo * n, (hi - lo) * n).reshape(hi - lo, n) < limits
 
 
 def _iter_samples(model: ComponentModel, seed: int, lo: int, hi: int):
-    """Failed-RV flags (bool, samples x RVs) of samples lo..hi-1, one RNG chunk at a time."""
-    if bad := probability_violations(model):
-        raise PlantDataError(bad[0][1].message)
-    n = len(model)
-    p = np.array([rv.p_fail for rv in model.rvs])
+    """_draw over samples lo..hi-1, one RNG chunk at a time."""
     for s0 in range(lo, hi, _STATE_CHUNK):
-        s1 = min(s0 + _STATE_CHUNK, hi)
-        yield rng.uniform_block(seed, s0 * n, (s1 - s0) * n).reshape(s1 - s0, n) < p
+        yield _draw(model, seed, s0, min(s0 + _STATE_CHUNK, hi))
 
 
 def _run(worker, net: PlantNetwork, model: ComponentModel, query: ReliabilityQuery,

@@ -11,6 +11,8 @@ Carlo state sampling.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -18,6 +20,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
+# word_block's constants as numpy scalars, built once rather than per call
+_U_GOLDEN = np.uint64(_GOLDEN)
+_U_STEPS = ((np.uint64(30), np.uint64(_MIX1)), (np.uint64(27), np.uint64(_MIX2)))
+_U_31, _U_11 = np.uint64(31), np.uint64(11)
 
 
 def mix64(z: int) -> int:
@@ -45,9 +51,29 @@ def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     Bit-identical to the scalar path: both use the same integer pipeline,
     and uint64 arithmetic wraps exactly like the masked Python ints.
     """
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    z = np.uint64(stream_origin(seed)) + idx * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    return word_block(seed, start, count).astype(np.float64) * _INV_2_53
+
+
+def word_block(seed: int, start: int, count: int) -> np.ndarray:
+    """The 53-bit words k (uint64) behind uniform_block, which is k * 2**-53.
+
+    The splitmix steps run in place on the words and one scratch array.
+    """
+    z = np.arange(start, start + count, dtype=np.uint64)
+    z *= _U_GOLDEN
+    z += np.uint64(stream_origin(seed))
+    t = np.empty_like(z)
+    for shift, mix in _U_STEPS:
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        z *= mix
+    np.right_shift(z, _U_31, out=t)
+    z ^= t
+    z >>= _U_11
+    return z
+
+
+def word_limit(p: float) -> int:
+    """ceil(p * 2**53), for p in [0, 1]: word k's uniform is below p exactly
+    when k < word_limit(p), since p * 2**53 is exact."""
+    return math.ceil(p * 2.0 ** 53)

@@ -153,6 +153,24 @@ def test_full_solve_source_side_is_a_minimum_cut():
         assert all(res.arc_flow[a] == caps[a] for a in cut)
 
 
+def test_full_solve_sink_side_is_a_minimum_cut():
+    # the other extreme: the arcs entering the vertices that can still reach
+    # the sink are saturated and carry exactly the maximum flow
+    rnd = random.Random(13)
+    for _ in range(20):
+        n, tails, heads, caps = random_grid(rnd)
+        caps = [0.0 if rnd.random() < 0.2 else c for c in caps]
+        res = solve(n, 9, 10, tails, heads, caps)
+        side = res.sink_side
+        assert len(side) == n and side[10] and not side[9]
+        assert not any(s and t for s, t in zip(res.source_side, side))
+        cut = [a for a, (t, h) in enumerate(zip(tails, heads)) if not side[t] and side[h]]
+        assert sum(caps[a] for a in cut) == res.value
+        assert all(res.arc_flow[a] == caps[a] for a in cut)
+    stopped = solve(n, 9, 10, tails, heads, caps, cutoff=0.25)
+    assert stopped.value >= 0.25 and stopped.sink_side is None
+
+
 def test_cutoff_stop_reports_no_source_side():
     n, tails, heads, caps = random_grid(random.Random(4))
     full = solve(n, 9, 10, tails, heads, caps)

@@ -18,6 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from plantflow.dinic import max_flow
 from plantflow.flow import apply_scenario, build_flow_lp, compile_system, max_processable_flow
 from plantflow.lp import OPTIMAL
 from plantflow.model import (
@@ -154,6 +155,28 @@ def test_raising_a_failed_component_never_hurts(plant, data):
     raised[data.draw(st.sampled_from(down.tolist()))] = 1.0
     assert fn.flow_value(raised) >= fn.flow_value(states)
     assert fn.evaluate(raised) >= fn.evaluate(states)
+
+
+@CHECKS
+@given(staged_plants(), st.data())
+def test_failure_witness_is_the_smaller_extreme_cut(plant, data):
+    # never more failed RVs than the source-side cut reads, and still a cut set
+    net, model, target, _ = plant
+    states = np.array([data.draw(st.sampled_from([0.0, 1.0])) for _ in model.rvs])
+    for mode in MODES:
+        fn = compile_system(net, model, target, mode=mode)
+        up, members = fn.decide(states)
+        if up:
+            continue
+        g = fn.graph
+        side = np.array(max_flow(g.topology, caps=g.capacities(states), cutoff=fn.cutoff)
+                        .source_side, dtype=bool)
+        to = np.array(g.topology.to)
+        leaving = side[to[1::2]] & ~side[to[0::2]]
+        source_set = g.reads()[leaving].any(axis=0) & (states == 0.0)
+        assert (states[members] == 0.0).all()
+        assert np.count_nonzero(members) <= np.count_nonzero(source_set)
+        assert not fn.evaluate((~members).astype(float))
 
 
 @CHECKS

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from plantflow import datasets, reliability
+from plantflow import datasets, reliability, rng
 from plantflow.errors import PlantDataError
 from plantflow.flow import SystemFunction, compile_system, max_processable_flow
 from plantflow.model import (
@@ -80,7 +80,6 @@ def test_deterministic_single_failure_matches_indicator(rv_id, expected):
 def test_single_rv_frequency_matches_binomial():
     # a one-rv model walks the stream at stride 1, so the block below sees
     # exactly the uniforms that sample_states(model, 5, i) consumes
-    from plantflow import rng
     n = 1_000_000
     u = rng.uniform_block(5, 0, n)
     freq = float((u < 0.03).mean())
@@ -102,6 +101,60 @@ def test_sample_assignment_replays_the_same_sample():
         assert [int(s) for s in states] == [a[rv.rv_id] for rv in doc.model.rvs]
         failures += 0 if fn.evaluate(states) else 1
     assert failures == rep.failures
+
+
+EDGE_PS = (0.0, 1.0, 5e-324, 2.0 ** -53, 1.0 - 2.0 ** -53, 0.1 + 0.2)
+
+
+def test_word_limits_split_exactly_where_the_uniforms_cross_p():
+    # word k stands for the uniform k * 2**-53; the limit is the first k at or above p
+    for p in EDGE_PS + (0.03, 0.15, 0.5):
+        limit = rng.word_limit(p)
+        for k in (limit - 1, limit, limit + 1):
+            if 0 <= k < 2 ** 53:
+                assert (k < limit) == (k * 2.0 ** -53 < p)
+
+
+@pytest.mark.parametrize("lo", [0, 12_345, 10 ** 9])
+def test_threshold_flags_equal_uniforms_below_p(lo):
+    # gas's shipped RVs plus the edge cases, over two RNG chunks; the last two
+    # RVs' p are their first uniform and the next float above it, so in the
+    # first sample one sits on its limit and stays up, the other fails
+    gas = datasets.builtin("gas").model
+    n, hi = len(gas) + len(EDGE_PS) + 2, lo + 3000
+    at, above = (rng.uniform_at(21, lo * n + j) for j in (n - 2, n - 1))
+    extra = tuple(RandomVariable(f"edge{k}", p, ()) for k, p in enumerate(EDGE_PS)) + (
+        RandomVariable("at", at, ()), RandomVariable("above", math.nextafter(above, 1.0), ()))
+    model = ComponentModel(rvs=gas.rvs + extra)
+    p = np.array([rv.p_fail for rv in model.rvs])
+    flags = np.concatenate(list(reliability._iter_samples(model, 21, lo, hi)))
+    assert np.array_equal(flags, rng.uniform_block(21, lo * n, (hi - lo) * n).reshape(-1, n) < p)
+    assert not flags[0, -2] and flags[0, -1]
+    for i in (lo, lo + 2047, lo + 2048, hi - 1):
+        assert np.array_equal(sample_states(model, 21, i), (~flags[i - lo]).astype(float))
+
+
+def test_solve_budget_per_call(monkeypatch):
+    # failure witnesses from the smaller extreme cut hold little more than the
+    # component that cut the flow, so each decides many samples; source-side
+    # witnesses alone take about twice these solves
+    real = SystemFunction.decide
+    calls = []
+
+    def counted(self, states):
+        calls.append(1)
+        return real(self, states)
+
+    monkeypatch.setattr(SystemFunction, "decide", counted)
+    gas = datasets.builtin("gas")
+    q = ReliabilityQuery(gas.defaults.target_flow, samples=2000, seed=42)
+    estimate_failure_probability(gas.network, gas.model, q)
+    assert 0 < len(calls) <= 40
+    calls.clear()
+    expanded = datasets.builtin("pressure-expanded")
+    q = ReliabilityQuery(expanded.defaults.target_flow, samples=500, seed=42)
+    birnbaum_importance(expanded.network, expanded.model, q)
+    assert 0 < len(calls) <= 70
 
 
 @pytest.mark.parametrize("name", datasets.BUILTINS)
@@ -283,8 +336,9 @@ def test_sampler_refuses_probabilities_outside_the_unit_interval(p_fail):
     for run in (estimate_failure_probability, birnbaum_importance):
         with pytest.raises(PlantDataError, match=r"rv p8_9 p_fail .* outside \[0,1\]"):
             run(doc.network, model, q)
-    with pytest.raises(PlantDataError, match="rv p8_9"):
-        sample_states(model, 1, 0)
+    for _ in range(2):  # the per-model limits cache nothing for a refused model
+        with pytest.raises(PlantDataError, match="rv p8_9"):
+            sample_states(model, 1, 0)
 
 
 class _RefusedPool:

@@ -12,6 +12,12 @@ def test_scalar_vector_bit_identity():
     assert np.array_equal(block, scalars)
 
 
+def test_words_behind_the_uniforms():
+    words = rng.word_block(42, 1000, 257)
+    assert words.dtype == np.uint64 and words.max() < 2 ** 53
+    assert np.array_equal(words * 2.0 ** -53, rng.uniform_block(42, 1000, 257))
+
+
 def test_blocks_compose():
     whole = rng.uniform_block(7, 0, 100)
     parts = np.concatenate([rng.uniform_block(7, 0, 37),
