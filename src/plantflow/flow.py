@@ -400,7 +400,7 @@ class SystemFunction:
     """Survival predicate over component states, compiled once per model.
 
     evaluate() answers "does throughput reach the target" for a 0/1 state
-    vector ordered like rv_ids. The maxflow backend vectorises capacity
+    vector in model order. The maxflow backend vectorises capacity
     updates and lets Dinic stop at the target; the lp backend re-solves the
     program each call and exists as a slow cross-check.
 
@@ -425,7 +425,6 @@ class SystemFunction:
         self.target = float(target)
         self.mode = mode
         self.backend = backend
-        self.rv_ids = tuple(rv.rv_id for rv in model.rvs)
         num, den = self.target.as_integer_ratio()
         self.cutoff = -((-num << self.graph.shift) // den)  # ceil(target * 2**shift)
         self._unit = 2 ** self.graph.shift

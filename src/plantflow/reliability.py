@@ -24,11 +24,13 @@ vector with those RVs up survives) or a cut set when it fails (any vector
 with those RVs down fails). A cut set holds the failed RVs of the extreme
 minimum cut with fewer of them, usually the sink-side one, which holds
 little more than the component that cut the flow. A store of these sets
-judges a whole RNG chunk at once: a set decides a vector when its count, the
-path set's failed RVs or the cut set's up RVs, is 0, and importance reads
-the same counts for every single-component flip. Only what no set decides is
-solved, in sample order. The brute-force "direct" method evaluates every
-vector and is the reference.
+settles an RNG chunk in one pass: each set in learned order settles every
+open vector with none of its RVs counted (failed in a path set, up in a cut
+set), then the first vector left open is solved and its new set takes its
+turn, so only what no set decides is solved, in sample order. Importance
+counts those RVs per set and vector instead, since a count of 0 or 1 also
+decides single-component flips. The brute-force "direct" method evaluates
+every vector and is the reference.
 
 Survival compares exact integers (the max-flow backend scales every
 capacity to a whole number of 2**-k units), so the learned sets are sound on
@@ -50,7 +52,7 @@ from .flow import MAXFLOW_BACKEND, compile_system
 from .model import STATION_THROUGHPUT, ComponentModel, PlantNetwork
 
 _STATE_CHUNK = 2048       # samples drawn per RNG call and settled together
-_WITNESSES_MAX = 512      # solves that teach a set; bounds a chunk's counts at S x 512
+_WITNESSES_MAX = 512      # solves that teach a set; bounds a chunk's flip counts at S x 512
 _ALL = np.uint64(2**64 - 1)
 
 MARGINS_METHOD = "margins"
@@ -150,8 +152,9 @@ class _Store:
     """A query's compiled system and the path and cut sets its solves taught.
 
     settle() and flips() take failed-RV flags and give verdicts, True for up.
-    Inside, a set is a packed row and an open verdict is -1. Past
-    _WITNESSES_MAX solves, and on the lp backend, evaluate() decides alone.
+    Inside, a set is a packed row and an open verdict is -1; _solve_open() is
+    the one pass that applies sets to open rows. Past _WITNESSES_MAX solves,
+    and on the lp backend, evaluate() decides alone.
     """
 
     def __init__(self, net: PlantNetwork, model: ComponentModel, query: ReliabilityQuery):
@@ -162,55 +165,51 @@ class _Store:
         self.words = _pack(np.zeros((room, self.n), dtype=bool))
         self.up = np.zeros(room, dtype=bool)  # the verdict each set forces
 
-    def _counts(self, Fw: np.ndarray) -> np.ndarray:
-        """Per (set, row): the failed RVs of a path set, the up RVs of a cut set."""
-        words, counts = self.words[:self.size], np.zeros((self.size, len(Fw)), np.int32)
-        uncounted = np.where(self.up[:self.size], np.uint64(0), _ALL)[:, None]
+    def settle(self, down: np.ndarray) -> np.ndarray:
+        """Each row's verdict, solving the rows no learned set decides."""
+        verdict = np.full(len(down), -1, dtype=np.int8)
+        return self._solve_open(verdict, np.arange(len(down)), _pack(down).T, 0) == 1
+
+    def flips(self, down: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """Verdict on each row with one RV flipped (rows x RVs), given the rows' own."""
+        Fw, words, up = _pack(down), self.words[:self.size], self.up[:self.size]
+        # per (set, row): the failed RVs of a path set, the up RVs of a cut set
+        uncounted = np.where(up, np.uint64(0), _ALL)[:, None]
+        counts = np.zeros((self.size, len(Fw)), np.int32)
         for i, column in enumerate(Fw.T):
             counted = column ^ uncounted
             counted &= words[:, i, None]
             counts += np.bitwise_count(counted)
-        return counts
-
-    def settle(self, down: np.ndarray) -> np.ndarray:
-        """Each row's verdict, solving the rows no learned set decides."""
-        Fw = _pack(down)
-        zero = self._counts(Fw) == 0
-        verdict = np.where(zero.any(axis=0), zero[self.up[:self.size]].any(axis=0), np.int8(-1))
-        todo = np.flatnonzero(verdict < 0)
-        return self._solve_open(verdict, todo, Fw[todo].T) == 1
-
-    def flips(self, down: np.ndarray, base: np.ndarray) -> np.ndarray:
-        """Verdict on each row with one RV flipped (rows x RVs), given the rows' own."""
-        Fw = _pack(down)
-        verdict = np.where(down == base[:, None], base[:, None], np.int8(-1))  # monotonicity
-        counts, up = self._counts(Fw), self.up[:self.size]
-        for kind in (True, False):
-            words, kind_counts = self.words[:self.size][up == kind], counts[up == kind]
-            # a count-0 set decides every flip outside it
-            zero, common = kind_counts == 0, np.full_like(Fw, _ALL)
-            for i, w in enumerate(words.T):
-                common[:, i] = np.bitwise_and.reduce(np.where(zero, w[:, None], _ALL), axis=0)
-            outside = np.unpackbits(~common.view(np.uint8), axis=1, count=self.n, bitorder="little")
-            verdict[outside.view(bool)] = kind
-            # a count-1 set decides the flip of its one counted RV
-            k1, s1 = np.nonzero(kind_counts == 1)
-            bits = (Fw[s1] if kind else ~Fw[s1]) & words[k1]
-            j1 = np.where(bits > 0, np.bitwise_count(bits - 1) + 64 * np.arange(Fw.shape[1]), 0)
-            verdict[s1, j1.sum(axis=1)] = kind
+        # a count-0 set has the row's own verdict and keeps it on every flip outside
+        # the set; monotonicity keeps it on every flip towards it
+        zero, common = counts == 0, np.full_like(Fw, _ALL)
+        for i, w in enumerate(words.T):
+            common[:, i] = np.bitwise_and.reduce(np.where(zero, w[:, None], _ALL), axis=0)
+        outside = np.unpackbits(~common.view(np.uint8), axis=1, count=self.n, bitorder="little")
+        kept = outside.view(bool) | (down == base[:, None])
+        verdict = np.where(kept, base[:, None], np.int8(-1))
+        # a count-1 set decides the flip of its one counted RV
+        k1, s1 = np.nonzero(counts == 1)
+        bits = (Fw[s1] ^ uncounted[k1]) & words[k1]
+        j1 = np.where(bits > 0, np.bitwise_count(bits - 1) + 64 * np.arange(Fw.shape[1]), 0)
+        verdict[s1, j1.sum(axis=1)] = up[k1]
         todo = np.flatnonzero(verdict < 0)
         flipped = Fw[todo // self.n] ^ _pack(np.eye(self.n, dtype=bool))[todo % self.n]
-        self._solve_open(verdict.reshape(-1), todo, flipped.T)
+        # the counts have applied every stored set
+        self._solve_open(verdict.reshape(-1), todo, flipped.T, self.size)
         return verdict == 1
 
-    def _solve_open(self, verdict: np.ndarray, todo: np.ndarray, failed: np.ndarray):
+    def _solve_open(self, verdict: np.ndarray, todo: np.ndarray, failed: np.ndarray, k: int):
         """Fill verdict[todo] in order, failed[:, i] packing entry i's failed RVs. Each
-        solve's set settles, in one pass, every open entry it decides."""
-        while todo.size and self.size < len(self.up):
-            up, members = self.sf.decide(self._states(failed[:, 0]))
-            words = self.words[self.size] = _pack(members)
-            self.up[self.size] = up
-            self.size += 1
+        stored set from index k on, in learned order, and then the set of each solve
+        of the first open entry, settles in one pass every open entry it decides."""
+        while todo.size and k < len(self.up):
+            if k == self.size:
+                up, members = self.sf.decide(self._states(failed[:, 0]))
+                self.words[k], self.up[k] = _pack(members), up
+                self.size += 1
+            up, words = self.up[k], self.words[k]
+            k += 1
             # still open: a failed RV in the path set, an up RV in the cut set
             counted = (failed ^ (np.uint64(0) if up else _ALL)) & words[:, None]
             keep = np.flatnonzero(np.bitwise_or.reduce(counted, axis=0))

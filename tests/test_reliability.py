@@ -3,6 +3,7 @@ learned-set fast path against plain double evaluation, and variance behaviour.
 """
 
 import concurrent.futures
+import dataclasses
 import math
 
 import numpy as np
@@ -304,6 +305,54 @@ def test_lp_backend_learns_nothing_and_agrees_with_direct(monkeypatch):
     b = birnbaum_importance(doc.network, doc.model, q, method=DIRECT_METHOD)
     assert a.entries == b.entries
     assert not refused
+    # the lp store has no room, so every row and flip is evaluated
+    monkeypatch.undo()
+    exact = birnbaum_importance(doc.network, doc.model, dataclasses.replace(q, backend="maxflow"))
+    assert a.entries == exact.entries
+
+
+@pytest.mark.parametrize("backend,samples", [("maxflow", 2100), ("lp", 30)])
+def test_estimators_on_a_model_without_components(backend, samples):
+    # every sample is the same empty state vector; 2100 samples span two chunks
+    doc = datasets.builtin("didactic")
+    empty = ComponentModel(rvs=())
+    for mode in MODES:
+        fn = compile_system(doc.network, empty, doc.defaults.target_flow, mode=mode, backend=backend)
+        q = ReliabilityQuery(doc.defaults.target_flow, mode=mode, backend=backend,
+                             samples=samples, seed=1)
+        failures = estimate_failure_probability(doc.network, empty, q).failures
+        assert failures == (0 if fn.evaluate(np.ones(0)) else samples)
+        if mode == STATION_THROUGHPUT:
+            assert failures == 0  # the plant with nothing that can fail meets its target
+        for method in (MARGINS_METHOD, DIRECT_METHOD):
+            assert birnbaum_importance(doc.network, empty, q, method=method).entries == ()
+
+
+@pytest.mark.parametrize("name", ["gas", "pressure-expanded"])
+@pytest.mark.parametrize("mode", [STATION_THROUGHPUT, EDGE_MIN])
+def test_no_solve_is_decided_by_a_set_learned_before_it(monkeypatch, name, mode):
+    # 7-sample chunks: the sets of earlier chunks must settle every row they
+    # decide, or the verdicts hold while a solve is wasted
+    monkeypatch.setattr(reliability, "_STATE_CHUNK", 7)
+    real = SystemFunction.decide
+    solved = []
+
+    def recorded(self, states):
+        up, members = real(self, states)
+        solved.append((np.asarray(states, dtype=bool), up, members))
+        return up, members
+
+    monkeypatch.setattr(SystemFunction, "decide", recorded)
+    doc = datasets.builtin(name)
+    q = ReliabilityQuery(doc.defaults.target_flow, mode=mode, samples=150, seed=17)
+    for estimate in (estimate_failure_probability, birnbaum_importance):
+        solved.clear()
+        estimate(doc.network, doc.model, q)
+        assert len(solved) > 1
+        for i, (states, _, _) in enumerate(solved):
+            # a path set decides a state with none of its RVs failed, a cut set
+            # one with none of its RVs up
+            assert all((members & (states != up)).any() for _, up, members in solved[:i])
 
 
 def test_worker_count_never_changes_the_estimate():
