@@ -23,7 +23,8 @@ from plantflow.faulttree import (
     event_ids,
     failure_probability,
 )
-from plantflow.flow import max_processable_flow
+from plantflow.flow import compile_system
+from plantflow.model import assignment_states
 from plantflow.reliability import ReliabilityQuery, estimate_failure_probability
 
 doc = datasets.builtin("didactic")
@@ -41,13 +42,15 @@ print(f"flow model, 50000 Monte Carlo samples: p_fail = "
 print()
 print("scenario contrast:")
 print(f"  {'scenario':34s} {'fault tree':>12s} {'flow model':>12s}")
+sf = compile_system(doc.network, doc.model, doc.defaults.target_flow)
 for failed in (("n9", "p8_9"), ("n9", "p4_5")):
     a = doc.model.all_up()
     for rv_id in failed:
         a[rv_id] = 0
     tree_out = "fail" if evaluate_failure(tree, a) else "survive"
-    u = max_processable_flow(doc.network, doc.model, a).value
-    flow_out = "fail" if u < doc.defaults.target_flow else "survive"
+    states = assignment_states(doc.model, a)
+    flow_out = "survive" if sf.evaluate(states) else "fail"
+    u = sf.flow_value(states)
     label = " + ".join(failed)
     print(f"  {label:34s} {tree_out:>12s} {flow_out:>12s}   (u* = {u:.2f})")
 

@@ -17,8 +17,8 @@ import sys
 
 from . import datasets, faulttree, reliability
 from .errors import PlantDataError, PlantflowError
-from .flow import BACKENDS, MAXFLOW_BACKEND, max_processable_flow
-from .model import MODES
+from .flow import BACKENDS, MAXFLOW_BACKEND, compile_system, max_processable_flow
+from .model import MODES, assignment_states
 
 _TABLE_EDGE_CAP = 50  # human tables truncate flow listings past this; --full lifts it
 
@@ -258,6 +258,7 @@ def cmd_faulttree(args) -> int:
     tree = faulttree.didactic_fault_tree()
     p_fail = {rv.rv_id: rv.p_fail for rv in model.rvs}
     exact = faulttree.failure_probability(tree, p_fail)
+    sf = compile_system(net, model, doc.defaults.target_flow)
 
     contrast = []
     for label, failed in _CONTRAST_SCENARIOS:
@@ -265,13 +266,12 @@ def cmd_faulttree(args) -> int:
         for rv_id in failed:
             assignment[rv_id] = 0
         tree_fails = faulttree.evaluate_failure(tree, assignment)
-        u = max_processable_flow(net, model, assignment).value
-        flow_fails = u < doc.defaults.target_flow
+        states = assignment_states(model, assignment)
         contrast.append({
             "scenario": label,
             "fault_tree": "fail" if tree_fails else "survive",
-            "flow_function": "fail" if flow_fails else "survive",
-            "u_star": u,
+            "flow_function": "survive" if sf.evaluate(states) else "fail",
+            "u_star": sf.flow_value(states),
         })
     record = {
         "command": "faulttree",

@@ -200,6 +200,13 @@ class LayeredGraph:
             caps[:m] = fold(caps[:m], fold(ends[0], ends[1]))
         return caps
 
+    def _readout(self, counts) -> tuple[dict[str, float], dict[int, float]]:
+        """Arc-ordered counts of 2**-shift units as floats keyed by edge id and by station
+        node; the counts are Python ints, so each division rounds once."""
+        unit, m = 2 ** self.shift, self.end_rvs.shape[1]
+        values = [c / unit for c in counts]
+        return dict(zip(self.refs[:m], values[:m])), dict(zip(self.refs[m:], values[m:]))
+
     def effective(self, states) -> EffectiveCapacities:
         """capacities(states) as floats keyed by edge id and station node.
 
@@ -207,14 +214,9 @@ class LayeredGraph:
         arcs bound nothing in the edge-min and edge-max modes, so there a
         station's capacity is math.inf.
         """
-        unit = 2 ** self.shift
-        bound_stations = self.mode == STATION_THROUGHPUT
-        edge_cap, station_cap = {}, {}
-        for kind, ref, c in zip(self.kinds, self.refs, self.capacities(states).tolist()):
-            if kind == "edge":
-                edge_cap[ref] = c / unit
-            else:
-                station_cap[ref] = c / unit if bound_stations else math.inf
+        edge_cap, station_cap = self._readout(self.capacities(states).tolist())
+        if self.mode != STATION_THROUGHPUT:
+            station_cap = dict.fromkeys(station_cap, math.inf)
         return EffectiveCapacities(self.mode, edge_cap, station_cap)
 
     def reads(self) -> np.ndarray:
@@ -385,11 +387,8 @@ def max_processable_flow(
 
     graph = build_layered_graph(net, model, mode)
     result = _solve(graph, assignment_states(model, assignment))
-    unit = 2 ** graph.shift
-    edge_flow, station_flow = {}, {}
-    for kind, ref, f in zip(graph.kinds, graph.refs, result.arc_flow):
-        (edge_flow if kind == "edge" else station_flow)[ref] = f / unit
-    return FlowSolution(result.value / unit, mode, backend, edge_flow, station_flow)
+    edge_flow, station_flow = graph._readout(result.arc_flow)
+    return FlowSolution(result.value / 2 ** graph.shift, mode, backend, edge_flow, station_flow)
 
 
 # ---------------------------------------------------------------------------

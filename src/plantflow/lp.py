@@ -10,10 +10,11 @@ columns only: phase 1 starts every row on an artificial that has no column,
 since an artificial never re-enters. A pivot touches only the rows with a
 nonzero in the entering column, and the ratio test reads only the rows above
 the pivot tolerance, which on the plant programs here is a few rows in a
-hundred. Pricing is Dantzig's rule with a permanent switch to Bland's rule
-after a run of degenerate pivots, which guarantees termination. There is no
-external solver dependency; problem sizes here are a few hundred variables
-at most.
+hundred. One price row serves both phases: the row sums in phase 1, then
+c - c_B T, priced once the artificials are out. Pricing is Dantzig's rule,
+switched for good to Bland's after a run of degenerate pivots, which
+guarantees termination. There is no external solver dependency; problem
+sizes here are a few hundred variables at most.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ class _Tableau:
     and once it leaves it is gone. So its column would only be updated,
     never read. `values` holds the current value of each row's basic
     variable; nonbasic variables sit at 0 or at their width `width[j]` as
-    recorded in `status`.
+    recorded in `status`. `d` is the one price row: the phase-1 prices until
+    solve_lp replaces it with the phase-2 prices, and every pivot updates it.
     """
 
     AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
@@ -127,21 +129,20 @@ class _Tableau:
         self.status = np.full(n, self.AT_LOWER, dtype=np.int8)
         self.basis = list(range(n, n + self.m))
         # phase-1 prices: maximise -(sum of artificials) == sum of rows
-        self.d1 = self.T.sum(axis=0)
-        self.d2 = np.array(lp.objective, dtype=float)
+        self.d = self.T.sum(axis=0)
         self.iterations = 0
         self.degenerate_run = 0
         self.bland = False
 
-    def entering(self, d: np.ndarray) -> int | None:
-        up = (self.status == self.AT_LOWER) & (d > TOL) & (self.width > PIVOT_TOL)
-        down = (self.status == self.AT_UPPER) & (d < -TOL)
+    def entering(self) -> int | None:
+        up = (self.status == self.AT_LOWER) & (self.d > TOL) & (self.width > PIVOT_TOL)
+        down = (self.status == self.AT_UPPER) & (self.d < -TOL)
         idx = np.nonzero(up | down)[0]
         if idx.size == 0:
             return None
         if self.bland:
             return int(idx[0])
-        return int(idx[np.argmax(np.abs(d[idx]))])
+        return int(idx[np.argmax(np.abs(self.d[idx]))])
 
     def step(self, j: int) -> str | None:
         """One pivot or bound flip with entering variable j."""
@@ -151,18 +152,16 @@ class _Tableau:
         for i in np.nonzero(np.abs(w) > PIVOT_TOL)[0]:
             wi = w[i]
             if wi > 0:
-                ti = self.values[i] / wi
-                if ti < t - PIVOT_TOL or (ti < t + PIVOT_TOL and leave_row >= 0
-                                          and self.basis[i] < self.basis[leave_row]):
-                    t, leave_row, leave_at_upper = max(ti, 0.0), i, False
+                ti, at_upper = self.values[i] / wi, False
             else:
                 b = self.basis[i]
                 if b >= self.n or math.isinf(self.width[b]):
                     continue  # no upper bound to hit: an artificial, or upper = inf
-                ti = (self.width[b] - self.values[i]) / -wi
-                if ti < t - PIVOT_TOL or (ti < t + PIVOT_TOL and leave_row >= 0
-                                          and self.basis[i] < self.basis[leave_row]):
-                    t, leave_row, leave_at_upper = max(ti, 0.0), i, True
+                ti, at_upper = (self.width[b] - self.values[i]) / -wi, True
+            # ties within PIVOT_TOL go to the lower-numbered basic variable
+            if ti < t - PIVOT_TOL or (ti < t + PIVOT_TOL and leave_row >= 0
+                                      and self.basis[i] < self.basis[leave_row]):
+                t, leave_row, leave_at_upper = max(ti, 0.0), i, at_upper
 
         if math.isinf(t):
             return UNBOUNDED
@@ -198,8 +197,7 @@ class _Tableau:
         rows = col.nonzero()[0]
         rows = rows[rows != r]
         self.T[rows] -= col[rows, None] * row
-        self.d1 -= self.d1[j] * row
-        self.d2 -= self.d2[j] * row
+        self.d -= self.d[j] * row
         old, self.basis[r] = self.basis[r], j
         self.status[j] = self.BASIC
         return old
@@ -236,17 +234,15 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
         return LpSolution(INFEASIBLE, None, None, 0)
     cap = 2000 + 200 * (tab.n + tab.m) if max_iterations is None else max_iterations
 
-    for phase, d in ((1, tab.d1), (2, tab.d2)):
-        if phase == 1 and tab.m == 0:
-            continue
+    c = np.array(lp.objective, dtype=float)
+    for phase in (1, 2):
         while True:
             if tab.iterations > cap:
                 raise RuntimeError(f"simplex failed to converge within {cap} iterations")
-            j = tab.entering(d)
+            j = tab.entering()
             if j is None:
                 break
-            verdict = tab.step(j)
-            if verdict == UNBOUNDED:
+            if tab.step(j) == UNBOUNDED:
                 if phase == 1:  # phase-1 objective is bounded; cannot happen
                     raise RuntimeError("phase-1 step reported unbounded")
                 return LpSolution(UNBOUNDED, None, None, tab.iterations)
@@ -255,13 +251,12 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
             if residual > TOL * max(1.0, float(np.max(np.abs(tab.values), initial=0.0))):
                 return LpSolution(INFEASIBLE, None, None, tab.iterations)
             tab.drive_out_artificials()
+            tab.d = c - c[tab.basis] @ tab.T  # every basic column is structural now
 
     x = np.zeros(tab.n)
     at_upper = tab.status == _Tableau.AT_UPPER
     x[at_upper] = tab.width[at_upper]
-    for i, col in enumerate(tab.basis):
-        if col < tab.n:
-            x[col] = tab.values[i]
+    x[tab.basis] = tab.values
     x += np.array(lp.lower)
-    objective = float(np.dot(np.array(lp.objective), x))
+    objective = float(np.dot(c, x))
     return LpSolution(OPTIMAL, objective, tuple(float(v) for v in x), tab.iterations)

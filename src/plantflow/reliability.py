@@ -41,6 +41,7 @@ any finite data, whatever order they are learned in, and "margins" and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -127,10 +128,11 @@ def _run(worker, net: PlantNetwork, model: ComponentModel, query: ReliabilityQue
     in order; one worker, or fewer samples than workers, runs in this process."""
     if not math.isfinite(query.target_flow):
         raise ValueError(f"target_flow must be finite, got {query.target_flow}")
-    if query.samples < 1:
-        raise ValueError(f"samples must be positive, got {query.samples}")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
+    for name, value in (("samples", query.samples), ("workers", workers), ("seed", query.seed)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if name != "seed" and value < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
     parts = workers if query.samples >= workers else 1
     cuts = [query.samples * w // parts for w in range(parts + 1)]
     work = partial(worker, net, model, query, *extra)

@@ -129,6 +129,20 @@ def test_layered_graph_arcs_map_back_to_the_network():
             assert ref in doc.model.rvs[g.arc_rv[a]].assets
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", datasets.BUILTINS)
+def test_lp_columns_follow_the_arc_order(name, mode):
+    # LayeredGraph._readout splits arc-ordered vectors by this order
+    doc = datasets.builtin(name)
+    g = build_layered_graph(doc.network, doc.model, mode)
+    prog = build_flow_lp(doc.network, g.effective(np.ones(len(doc.model))))
+    m = len(prog.edge_var)
+    assert tuple(prog.edge_var) == g.refs[:m]
+    assert tuple(prog.station_var) == g.refs[m:]
+    assert [*prog.edge_var.values(), *prog.station_var.values()] == list(range(len(g.refs)))
+    assert prog.u_var == len(g.refs) == prog.lp.num_vars - 1
+
+
 def test_compile_rejects_unknown_mode():
     doc = datasets.builtin("didactic")
     with pytest.raises(PlantDataError, match="mode"):

@@ -375,6 +375,13 @@ def test_query_validation():
         estimate_failure_probability(
             doc.network, doc.model,
             ReliabilityQuery(target_flow=1.0, samples=10), workers=0)
+    for field, query, workers in (
+            ("samples", ReliabilityQuery(target_flow=1.0, samples=10.5), 1),
+            ("workers", ReliabilityQuery(target_flow=1.0, samples=10), 1.5),
+            ("seed", ReliabilityQuery(target_flow=1.0, samples=10, seed=1.5), 1)):
+        for run in (estimate_failure_probability, birnbaum_importance):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                run(doc.network, doc.model, query, workers=workers)
 
 
 @pytest.mark.parametrize("p_fail", [1.5, -0.1, math.nan])
