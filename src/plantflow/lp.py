@@ -101,7 +101,9 @@ class _Tableau:
     never read. `values` holds the current value of each row's basic
     variable; nonbasic variables sit at 0 or at their width `width[j]` as
     recorded in `status`. `d` is the one price row: the phase-1 prices until
-    solve_lp replaces it with the phase-2 prices, and every pivot updates it.
+    solve_lp replaces it with the phase-2 prices. Each pivot of step() updates
+    it; drive_out_artificials() leaves it stale, since nothing reads it before
+    solve_lp reprices.
     """
 
     AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
@@ -180,6 +182,7 @@ class _Tableau:
             return None
 
         old = self.pivot(leave_row, j)
+        self.d -= self.d[j] * self.T[leave_row]
         self.values[leave_row] = (0.0 if sigma > 0 else self.width[j]) + sigma * t
         if old < self.n:
             self.status[old] = self.AT_UPPER if leave_at_upper else self.AT_LOWER
@@ -197,7 +200,6 @@ class _Tableau:
         rows = col.nonzero()[0]
         rows = rows[rows != r]
         self.T[rows] -= col[rows, None] * row
-        self.d -= self.d[j] * row
         old, self.basis[r] = self.basis[r], j
         self.status[j] = self.BASIC
         return old

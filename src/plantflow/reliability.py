@@ -15,7 +15,9 @@ is order-independent. The same query therefore gives bit-identical reports
 at any worker count. An RV fails when its uniform k * 2**-53 is below p_fail;
 the sampler reads the 53-bit word k and tests k < ceil(p_fail * 2**53), the
 integer limit that ComponentModel.fail_limits holds, which is the same test
-exactly because p_fail * 2**53 is exact.
+exactly because p_fail * 2**53 is exact. A chunk is drawn in cache-sized
+blocks of whole rows, each compared with the limits while its words are still
+in cache; word i keeps its index, so the flags do not depend on the block size.
 
 Both estimators skip solves whose outcome is forced. Throughput is monotone
 in component states, so every solve that decides a state vector also yields
@@ -52,7 +54,8 @@ from .errors import PlantDataError
 from .flow import MAXFLOW_BACKEND, compile_system
 from .model import STATION_THROUGHPUT, ComponentModel, PlantNetwork
 
-_STATE_CHUNK = 2048       # samples drawn per RNG call and settled together
+_STATE_CHUNK = 2048       # samples drawn and settled together
+_DRAW_BLOCK = 2**14       # RNG words drawn and compared per step, in whole rows
 _WITNESSES_MAX = 512      # solves that teach a set; bounds a chunk's flip counts at S x 512
 _ALL = np.uint64(2**64 - 1)
 
@@ -110,10 +113,18 @@ def sample_assignment(model: ComponentModel, seed: int, index: int) -> dict[str,
 
 
 def _draw(model: ComponentModel, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Failed-RV flags (bool, samples x RVs) of samples lo..hi-1."""
+    """Failed-RV flags (bool, samples x RVs) of samples lo..hi-1, drawn in blocks of
+    whole rows of about _DRAW_BLOCK words, each compared while still in cache."""
     limits = model.fail_limits
     n = len(limits)
-    return rng.word_block(seed, lo * n, (hi - lo) * n).reshape(hi - lo, n) < limits
+    # one block; one row is a block even when it is wider than _DRAW_BLOCK
+    if hi - lo == 1 or (hi - lo) * n <= _DRAW_BLOCK:
+        return rng.word_block(seed, lo * n, (hi - lo) * n).reshape(hi - lo, n) < limits
+    step = max(_DRAW_BLOCK // n, 1)
+    out = np.empty((hi - lo, n), dtype=bool)
+    for r0 in range(lo, hi, step):
+        out[r0 - lo:r0 - lo + step] = _draw(model, seed, r0, min(r0 + step, hi))
+    return out
 
 
 def _iter_samples(model: ComponentModel, seed: int, lo: int, hi: int):
@@ -126,10 +137,11 @@ def _run(worker, net: PlantNetwork, model: ComponentModel, query: ReliabilityQue
          workers: int, *extra) -> list:
     """worker(net, model, query, *extra, lo, hi) per worker's contiguous range of samples,
     in order; one worker, or fewer samples than workers, runs in this process."""
-    if not math.isfinite(query.target_flow):
-        raise ValueError(f"target_flow must be finite, got {query.target_flow}")
+    if not (isinstance(query.target_flow, numbers.Real) and math.isfinite(query.target_flow)):
+        raise ValueError(f"target_flow must be a finite real number, got {query.target_flow!r}")
     for name, value in (("samples", query.samples), ("workers", workers), ("seed", query.seed)):
-        if not isinstance(value, numbers.Integral):
+        # bool is an Integral, but True is no count or seed
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if name != "seed" and value < 1:
             raise ValueError(f"{name} must be positive, got {value}")

@@ -135,6 +135,31 @@ def test_threshold_flags_equal_uniforms_below_p(lo):
         assert np.array_equal(sample_states(model, 21, i), (~flags[i - lo]).astype(float))
 
 
+def _one_shot(model, seed, lo, hi):
+    """Samples lo..hi-1's failed-RV flags from one word block."""
+    n = len(model)
+    return rng.word_block(seed, lo * n, (hi - lo) * n).reshape(hi - lo, n) < model.fail_limits
+
+
+@pytest.mark.parametrize("block", [reliability._DRAW_BLOCK, 64])
+def test_blocked_draw_equals_one_shot_draw(monkeypatch, block):
+    # a word keeps its index sample * num_rvs + rv whatever the block: gas's 87
+    # RVs divide neither block, so a chunk's last block is partial, and at 64
+    # words one block holds less than a row; so does one of `wide`'s rows
+    monkeypatch.setattr(reliability, "_DRAW_BLOCK", block)
+    gas = datasets.builtin("gas").model
+    wide = ComponentModel(rvs=tuple(RandomVariable(f"x{k}", 0.5, ()) for k in range(block + 5)))
+    rows = max(block // len(gas), 1)  # per block
+    lo = rows + rows // 2 + 1
+    for model, a, b in ((gas, 0, 2048), (gas, lo, lo + 3 * rows + 2), (gas, 5, 6),
+                        (wide, 3, 6), (wide, 9, 10), (ComponentModel(rvs=()), 4, 2052)):
+        flags = reliability._draw(model, 7, a, b)
+        assert flags.shape == (b - a, len(model))
+        assert np.array_equal(flags, _one_shot(model, 7, a, b))
+    for i in (0, rows - 1, rows, 2047):
+        assert np.array_equal(sample_states(gas, 7, i), (~_one_shot(gas, 7, i, i + 1)[0]).astype(float))
+
+
 def test_solve_budget_per_call(monkeypatch):
     # failure witnesses from the smaller extreme cut hold little more than the
     # component that cut the flow, so each decides many samples; source-side
@@ -378,10 +403,18 @@ def test_query_validation():
     for field, query, workers in (
             ("samples", ReliabilityQuery(target_flow=1.0, samples=10.5), 1),
             ("workers", ReliabilityQuery(target_flow=1.0, samples=10), 1.5),
-            ("seed", ReliabilityQuery(target_flow=1.0, samples=10, seed=1.5), 1)):
+            ("seed", ReliabilityQuery(target_flow=1.0, samples=10, seed=1.5), 1),
+            # bool is an Integral subclass, yet no count or seed
+            ("samples", ReliabilityQuery(target_flow=1.0, samples=True), 1),
+            ("workers", ReliabilityQuery(target_flow=1.0, samples=10), True),
+            ("seed", ReliabilityQuery(target_flow=1.0, samples=10, seed=False), 1)):
         for run in (estimate_failure_probability, birnbaum_importance):
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
                 run(doc.network, doc.model, query, workers=workers)
+    for target in ("1", None, 1j, math.inf, math.nan):
+        for run in (estimate_failure_probability, birnbaum_importance):
+            with pytest.raises(ValueError, match="target_flow must be a finite real number"):
+                run(doc.network, doc.model, ReliabilityQuery(target_flow=target, samples=10))
 
 
 @pytest.mark.parametrize("p_fail", [1.5, -0.1, math.nan])
