@@ -54,11 +54,16 @@ print()
 
 print("=== how the default is actually computed ===")
 g = build_layered_graph(net, model, STATION_THROUGHPUT)
+top = g.topology
 kinds = {}
-for kind in g.kinds:
+for a, (tail, head) in enumerate(zip(g.tails, g.heads)):
+    # an arc's role: out of the super source, into the super sink, a plant
+    # edge (the edges come first), or a station bridging two layers
+    kind = ("source" if tail == top.source else "sink" if head == top.sink
+            else "edge" if a < len(net.edges) else "bridge")
     kinds[kind] = kinds.get(kind, 0) + 1
-print(f"  layered graph: {g.num_vertices} vertices, "
-      f"{len(g.kinds)} arcs {kinds}")
+print(f"  layered graph: {top.num_vertices} vertices, "
+      f"{len(g.tails)} arcs {kinds}")
 print("  each transition stage gets its own node layer; a station's")
 print("  capacity sits on the single arc bridging its two layers, so a")
 print("  max-flow solver enforces it exactly.")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import DataFormatError
 from .model import (
@@ -26,8 +27,6 @@ from .model import (
 )
 
 FORMAT_VERSION = 1
-
-BUILTINS = ("didactic", "pressure-original", "pressure-expanded", "gas")
 
 
 @dataclass(frozen=True)
@@ -293,17 +292,16 @@ def gas(p_fail: float = 0.03) -> NetworkDocument:
     )
 
 
+_BUILDERS = {"didactic": didactic, "pressure-original": partial(pressure, expanded=False),
+             "pressure-expanded": partial(pressure, expanded=True), "gas": gas}
+BUILTINS = tuple(_BUILDERS)
+
+
 def builtin(name: str) -> NetworkDocument:
     """Return a built-in dataset by name; see BUILTINS for valid names."""
-    if name == "didactic":
-        return didactic()
-    if name == "pressure-original":
-        return pressure(expanded=False)
-    if name == "pressure-expanded":
-        return pressure(expanded=True)
-    if name == "gas":
-        return gas()
-    raise DataFormatError(f"unknown builtin dataset {name!r}; expected one of {BUILTINS}")
+    if name not in BUILTINS:
+        raise DataFormatError(f"unknown builtin dataset {name!r}; expected one of {BUILTINS}")
+    return _BUILDERS[name]()
 
 
 # --------------------------------------------------------------------------

@@ -158,8 +158,10 @@ class LayeredGraph:
     each edge's bound also folds in its end-node capacities, end_caps[0]
     (tail) and end_caps[1] (head), owned by end_rvs; the station arcs then
     get a capacity larger than any achievable flow, standing in for
-    "unbounded" without infinities. topology holds the arcs' endpoints, and
-    num_rvs the length of the model's state vectors.
+    "unbounded" without infinities. Arc a runs tails[a] -> heads[a], and
+    topology compiles those arcs for Dinic: source arcs leave topology.source,
+    sink arcs enter topology.sink, and bridges follow the edges. num_rvs is
+    the length of the model's state vectors.
 
     Every finite float is an integer times a power of two, so nominal and
     end_caps hold whole numbers of 2**-shift units, with shift the smallest
@@ -169,19 +171,16 @@ class LayeredGraph:
     """
 
     topology: dinic.Topology
+    tails: np.ndarray
+    heads: np.ndarray
     mode: str
     shift: int
     nominal: np.ndarray
     arc_rv: np.ndarray
-    kinds: tuple[str, ...]  # "edge" | "source" | "bridge" | "sink"
     refs: tuple[int | str, ...]  # edge id for edge arcs, station node otherwise
     end_caps: np.ndarray
     end_rvs: np.ndarray
     num_rvs: int
-
-    @property
-    def num_vertices(self) -> int:
-        return self.topology.num_vertices
 
     def capacities(self, states) -> np.ndarray:
         """Arc capacities, in 2**-shift units, under a 0/1 state vector ordered like the model;
@@ -238,10 +237,13 @@ def build_layered_graph(
 ) -> LayeredGraph:
     """One vertex per (node, stage label), plus a super source and sink.
 
-    Raises PlantDataError for an unknown mode and MappingError when an RV
-    references an asset the network does not have or another RV governs.
+    Raises PlantDataError for an unknown mode or a network validate_network
+    refuses (naming its first violation), MappingError when an RV references
+    an asset the network does not have or another RV governs.
     """
     check_mode(mode)
+    if bad := net._violations:
+        raise PlantDataError(bad[0].message)
     owner = asset_owners(net, model)
     n, layers = net.num_nodes, net.num_stages - 1
     source = layers * n
@@ -256,7 +258,6 @@ def build_layered_graph(
     heads = [vertex(e.head, e.stage) for e in edges]
     nominal = [e.capacity for e in edges]
     arc_rv = [owner.get(e.edge_id, -1) for e in edges]
-    kinds = ["edge"] * len(edges)
     refs: list[int | str] = [e.edge_id for e in edges]
     end_caps = [[node_cap[e.tail] for e in edges], [node_cap[e.head] for e in edges]]
     end_rvs = np.array([[owner.get(e.tail, -1) for e in edges],
@@ -267,7 +268,6 @@ def build_layered_graph(
     last = net.num_stages
     for stage, members in enumerate(net.stations, start=1):
         for s in members:
-            kinds.append({1: "source", last: "sink"}.get(stage, "bridge"))
             tails.append(source if stage == 1 else vertex(s, stage - 1))
             heads.append(sink if stage == last else vertex(s, stage))
             refs.append(s)
@@ -280,9 +280,10 @@ def build_layered_graph(
     # int64 folds fastest; Python ints (object) hold any larger count exactly
     dtype = np.int64 if max(units.values()) < 2 ** 63 else object
     return LayeredGraph(
-        topology=dinic.build_topology(layers * n + 2, source, sink, tails, heads), mode=mode,
+        topology=dinic.build_topology(layers * n + 2, source, sink, tails, heads),
+        tails=np.array(tails), heads=np.array(heads), mode=mode,
         shift=shift, nominal=np.array([units[c] for c in nominal], dtype=dtype),
-        arc_rv=np.array(arc_rv, dtype=np.int64), kinds=tuple(kinds), refs=tuple(refs),
+        arc_rv=np.array(arc_rv, dtype=np.int64), refs=tuple(refs),
         end_caps=np.array([[units[c] for c in row] for row in end_caps], dtype=dtype),
         end_rvs=end_rvs, num_rvs=len(model))
 
@@ -414,6 +415,7 @@ class SystemFunction:
         net: PlantNetwork,
         model: ComponentModel,
         target: float,
+        *,
         mode: str = STATION_THROUGHPUT,
         backend: str = MAXFLOW_BACKEND,
     ):
@@ -422,14 +424,13 @@ class SystemFunction:
         self.graph = build_layered_graph(net, model, mode)
         self.net = net
         self.target = float(target)
-        self.mode = mode
+        if not math.isfinite(self.target):
+            raise PlantDataError(f"target must be a finite number, got {target!r}")
         self.backend = backend
         num, den = self.target.as_integer_ratio()
         self.cutoff = -((-num << self.graph.shift) // den)  # ceil(target * 2**shift)
         self._unit = 2 ** self.graph.shift
         self._reads = self.graph.reads()
-        to = self.graph.topology.to
-        self._tails, self._heads = np.array(to[1::2]), np.array(to[0::2])
 
     def flow_value(self, states) -> float:
         """Throughput for one state vector."""
@@ -473,21 +474,15 @@ class SystemFunction:
             return up, self._reads[np.fromiter(result.arc_flow, dtype=bool)].any(axis=0) & held
         source, sink = (np.frombuffer(bytes(side), dtype=bool)
                         for side in (result.source_side, result.sink_side))
-        first = self._reads[source[self._tails] & ~source[self._heads]].any(axis=0) & held
-        last = self._reads[~sink[self._tails] & sink[self._heads]].any(axis=0) & held
+        tails, heads = self.graph.tails, self.graph.heads
+        first = self._reads[source[tails] & ~source[heads]].any(axis=0) & held
+        last = self._reads[~sink[tails] & sink[heads]].any(axis=0) & held
         return up, last if np.count_nonzero(last) < np.count_nonzero(first) else first
 
     def _lp_value(self, states) -> float:
         return _lp_optimum(build_flow_lp(self.net, self.graph.effective(states))).objective_value
 
 
-def compile_system(
-    net: PlantNetwork,
-    model: ComponentModel,
-    target: float,
-    *,
-    mode: str = STATION_THROUGHPUT,
-    backend: str = MAXFLOW_BACKEND,
-) -> SystemFunction:
-    """Build the survival predicate used by the sampling estimators."""
-    return SystemFunction(net, model, target, mode, backend)
+# reliability builds its system through this name, and the benchmark's
+# flow.compile_system span wraps it there
+compile_system = SystemFunction

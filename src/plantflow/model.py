@@ -71,6 +71,11 @@ class PlantNetwork:
         return out
 
     @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        """validate_network(self).violations, found once per network."""
+        return validate_network(self).violations
+
+    @cached_property
     def edge_index(self) -> dict[str, int]:
         """Map edge_id -> position in the edges tuple."""
         return {e.edge_id: i for i, e in enumerate(self.edges)}

@@ -166,9 +166,9 @@ class _Store:
     """A query's compiled system and the path and cut sets its solves taught.
 
     settle() and flips() take failed-RV flags and give verdicts, True for up.
-    Inside, a set is a packed row and an open verdict is -1; _solve_open() is
-    the one pass that applies sets to open rows. Past _WITNESSES_MAX solves,
-    and on the lp backend, evaluate() decides alone.
+    Inside, a set is a packed row; _solve_open() is the one pass that applies
+    sets to open rows. Past _WITNESSES_MAX solves, and on the lp backend,
+    evaluate() decides alone.
     """
 
     def __init__(self, net: PlantNetwork, model: ComponentModel, query: ReliabilityQuery):
@@ -181,8 +181,7 @@ class _Store:
 
     def settle(self, down: np.ndarray) -> np.ndarray:
         """Each row's verdict, solving the rows no learned set decides."""
-        verdict = np.full(len(down), -1, dtype=np.int8)
-        return self._solve_open(verdict, np.arange(len(down)), _pack(down).T, 0) == 1
+        return self._solve_open(_pack(down).T, 0)
 
     def flips(self, down: np.ndarray, base: np.ndarray) -> np.ndarray:
         """Verdict on each row with one RV flipped (rows x RVs), given the rows' own."""
@@ -210,13 +209,14 @@ class _Store:
         todo = np.flatnonzero(verdict < 0)
         flipped = Fw[todo // self.n] ^ _pack(np.eye(self.n, dtype=bool))[todo % self.n]
         # the counts have applied every stored set
-        self._solve_open(verdict.reshape(-1), todo, flipped.T, self.size)
+        verdict.reshape(-1)[todo] = self._solve_open(flipped.T, self.size)
         return verdict == 1
 
-    def _solve_open(self, verdict: np.ndarray, todo: np.ndarray, failed: np.ndarray, k: int):
-        """Fill verdict[todo] in order, failed[:, i] packing entry i's failed RVs. Each
+    def _solve_open(self, failed: np.ndarray, k: int) -> np.ndarray:
+        """The verdict of each column of failed, which packs one entry's failed RVs. Each
         stored set from index k on, in learned order, and then the set of each solve
         of the first open entry, settles in one pass every open entry it decides."""
+        verdict, todo = np.empty(failed.shape[1], dtype=bool), np.arange(failed.shape[1])
         while todo.size and k < len(self.up):
             if k == self.size:
                 up, members = self.sf.decide(self._states(failed[:, 0]))
@@ -229,7 +229,6 @@ class _Store:
             keep = np.flatnonzero(np.bitwise_or.reduce(counted, axis=0))
             verdict[todo] = up
             todo, failed = todo[keep], failed.take(keep, axis=1)
-            verdict[todo] = -1
         for i, f in zip(todo, failed.T):
             verdict[i] = self.sf.evaluate(self._states(f))
         return verdict

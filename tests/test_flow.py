@@ -9,14 +9,17 @@ measured against.
 
 import math
 import random
+import re
+from functools import partial
 
 import numpy as np
 import pytest
 
-from plantflow import datasets, dinic
+from plantflow import datasets, dinic, model as model_module
 from plantflow.dinic import max_flow as dinic_max_flow
 from plantflow.errors import MappingError, PlantDataError
 from plantflow.flow import (
+    BACKENDS,
     SystemFunction,
     apply_scenario,
     build_flow_lp,
@@ -35,6 +38,7 @@ from plantflow.model import (
     PlantNetwork,
     RandomVariable,
 )
+from plantflow.reliability import ReliabilityQuery, birnbaum_importance, estimate_failure_probability
 
 NOMINAL = {}
 STORAGE_REROUTED = {"n9": 0, "p8_9": 0}   # station 9 and pipe (8,9) down
@@ -96,15 +100,23 @@ def test_assignment_without_model_rejected():
 # layered graph structure
 
 
+def arc_roles(g, net) -> list[str]:
+    """Each arc's role, read off its endpoints and its position."""
+    t, m = g.topology, len(net.edges)
+    return ["source" if tail == t.source else "sink" if head == t.sink
+            else "edge" if a < m else "bridge"
+            for a, (tail, head) in enumerate(zip(g.tails, g.heads))]
+
+
 def test_didactic_layered_graph_shape():
     doc = datasets.builtin("didactic")
     g = build_layered_graph(doc.network, doc.model)
     unit = 2 ** g.shift
     caps = [c / unit for c in g.capacities(np.ones(len(doc.model)))]
     # 3 transition layers x 14 nodes + super source and sink
-    assert g.num_vertices == 3 * 14 + 2
+    assert g.topology.num_vertices == 3 * 14 + 2
     kinds = {}
-    for kind, ref, cap in zip(g.kinds, g.refs, caps):
+    for kind, ref, cap in zip(arc_roles(g, doc.network), g.refs, caps):
         kinds.setdefault(kind, []).append((ref, cap))
     assert len(kinds["edge"]) == 21
     assert len(kinds["source"]) == 2
@@ -122,7 +134,11 @@ def test_layered_graph_arcs_map_back_to_the_network():
     g = build_layered_graph(net, doc.model)
     m = len(net.edges)
     assert g.refs[:m] == tuple(e.edge_id for e in net.edges)
-    assert g.kinds[:m] == ("edge",) * m
+    assert arc_roles(g, net)[:m] == ["edge"] * m
+    # an edge arc joins its end nodes' copies in the layer of its stage label
+    layer = [(e.stage - 1) * net.num_nodes - 1 for e in net.edges]
+    assert g.tails[:m].tolist() == [base + e.tail for base, e in zip(layer, net.edges)]
+    assert g.heads[:m].tolist() == [base + e.head for base, e in zip(layer, net.edges)]
     assert g.refs[m:] == tuple(s for members in net.stations for s in members)
     for a, ref in enumerate(g.refs):
         if g.arc_rv[a] >= 0:
@@ -147,6 +163,13 @@ def test_compile_rejects_unknown_mode():
     doc = datasets.builtin("didactic")
     with pytest.raises(PlantDataError, match="mode"):
         compile_system(doc.network, doc.model, target=1.0, mode="edge-avg")
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf])
+def test_compile_names_a_non_finite_target(target):
+    doc = datasets.builtin("didactic")
+    with pytest.raises(PlantDataError, match="target"):
+        compile_system(doc.network, doc.model, target)
 
 
 @pytest.mark.parametrize("asset", ["p99_98", 99])
@@ -336,7 +359,7 @@ def test_station_layer_cuts_bound_the_optimum():
     u = max_processable_flow(doc.network, doc.model).value
     for kind in ("source", "bridge", "sink"):
         by_stage = {}
-        for arc_kind, ref, cap in zip(g.kinds, g.refs, caps):
+        for arc_kind, ref, cap in zip(arc_roles(g, doc.network), g.refs, caps):
             if arc_kind == kind:
                 stage = doc.network.station_stage[ref]
                 by_stage.setdefault(stage, 0.0)
@@ -566,3 +589,62 @@ def test_reads_cover_every_capacity_dependence(mode):
                 flipped[j] = 1.0 - flipped[j]
                 moved = g.capacities(flipped) != base
                 assert not (moved & ~reads[:, j]).any()
+
+
+# ---------------------------------------------------------------------------
+# invalid plants
+
+
+def _line_plant(**change) -> PlantNetwork:
+    """Three stages of one station each, joined by edges a and b; u* = 1."""
+    fields = dict(num_nodes=3, num_stages=3, stations=((1,), (2,), (3,)),
+                  node_capacity={1: 1.0, 2: 1.0, 3: 1.0},
+                  edges=(Edge("a", 1, 2, 1, 1.0), Edge("b", 2, 3, 2, 1.0)))
+    return PlantNetwork(**{**fields, **change})
+
+
+# each breaks one rule of validate_network; unchecked, every one gave a
+# throughput or a solver error for a plant that does not exist, and the first
+# two put an arc on a negative vertex index, which wraps to another vertex
+INVALID_PLANTS = [
+    pytest.param(_line_plant(edges=(Edge("a", 1, 2, 0, 1.0), Edge("b", 2, 3, 2, 1.0))),
+                 "edge a stage 0 outside 1..2", id="stage-label"),
+    pytest.param(_line_plant(edges=(Edge("a", 0, 2, 1, 1.0), Edge("b", 2, 3, 2, 1.0))),
+                 "edge a endpoints (0,2) out of range", id="node-range"),
+    pytest.param(_line_plant(stations=((1,), (1, 2), (3,))),
+                 "node 1 is a station of stages 1 and 2", id="multi-stage"),
+    pytest.param(_line_plant(edges=(Edge("a", 1, 2, 1, -1.0), Edge("b", 2, 3, 2, 1.0))),
+                 "edge a capacity -1.0 < 0", id="negative-capacity"),
+    pytest.param(_line_plant(node_capacity={1: 1.0, 2: 1.0}),
+                 "station 3 has no explicit capacity", id="station-capacity"),
+    pytest.param(_line_plant(edges=(Edge("a", 1, 2, 1, 1.0), Edge("a", 2, 3, 2, 1.0))),
+                 "edge id 'a' used twice", id="duplicate-edge-id"),
+]
+
+
+@pytest.mark.parametrize("net, message", INVALID_PLANTS)
+def test_every_evaluator_refuses_an_invalid_plant(net, message):
+    model = ComponentModel(tuple(RandomVariable(f"x{k}", 0.1, (k,)) for k in (1, 2, 3)))
+    refused = partial(pytest.raises, PlantDataError, match=re.escape(message))
+    with refused():
+        build_layered_graph(net, model)
+    for backend in BACKENDS:
+        with refused():
+            max_processable_flow(net, model, backend=backend)
+    with refused():
+        compile_system(net, model, 0.5)
+    query = ReliabilityQuery(target_flow=0.5, samples=20)
+    for estimate in (estimate_failure_probability, birnbaum_importance):
+        with refused():
+            estimate(net, model, query)
+
+
+def test_a_network_is_checked_once(monkeypatch):
+    calls = []
+    real = model_module.validate_network
+    monkeypatch.setattr(model_module, "validate_network", lambda net: calls.append(net) or real(net))
+    doc = datasets.builtin("gas")
+    for backend in BACKENDS:
+        max_processable_flow(doc.network, doc.model, backend=backend)
+    compile_system(doc.network, doc.model, 0.5)
+    assert calls == [doc.network]

@@ -171,8 +171,7 @@ def test_failure_witness_is_the_smaller_extreme_cut(plant, data):
         g = fn.graph
         side = np.array(max_flow(g.topology, caps=g.capacities(states), cutoff=fn.cutoff)
                         .source_side, dtype=bool)
-        to = np.array(g.topology.to)
-        leaving = side[to[1::2]] & ~side[to[0::2]]
+        leaving = side[g.tails] & ~side[g.heads]
         source_set = g.reads()[leaving].any(axis=0) & (states == 0.0)
         assert (states[members] == 0.0).all()
         assert np.count_nonzero(members) <= np.count_nonzero(source_set)
