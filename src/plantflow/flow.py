@@ -25,7 +25,7 @@ bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,8 +88,22 @@ def build_flow_lp(net: PlantNetwork, caps: EffectiveCapacities) -> FlowProgram:
 
     Edge variables are bounded by edge_cap and station variables by
     station_cap, which is math.inf in the modes that fold node limits into
-    the edge bounds.
+    the edge bounds. Only those bounds depend on caps; the rest is compiled
+    once per network, in the memo build_layered_graph keeps there.
     """
+    if (skeleton := net._compiled.get(LP_BACKEND)) is None:
+        skeleton = net._compiled[LP_BACKEND] = _lp_skeleton(net)
+    upper = [0.0] * skeleton.lp.num_vars
+    for var, cap in ((skeleton.edge_var, caps.edge_cap), (skeleton.station_var, caps.station_cap)):
+        for ref, j in var.items():
+            upper[j] = cap[ref]
+    upper[skeleton.u_var] = math.inf
+    return FlowProgram(replace(skeleton.lp, upper=tuple(upper)), dict(skeleton.edge_var),
+                       dict(skeleton.station_var), skeleton.u_var)
+
+
+def _lp_skeleton(net: PlantNetwork) -> FlowProgram:
+    """The network's flow LP without its upper bounds (upper is empty)."""
     edge_var = {e.edge_id: i for i, e in enumerate(net.edges)}
     station_var: dict[int, int] = {}
     col = len(net.edges)
@@ -101,12 +115,6 @@ def build_flow_lp(net: PlantNetwork, caps: EffectiveCapacities) -> FlowProgram:
     n_vars = col + 1
 
     lower = [0.0] * n_vars
-    upper = [0.0] * n_vars
-    for e in net.edges:
-        upper[edge_var[e.edge_id]] = caps.edge_cap[e.edge_id]
-    for s, j in station_var.items():
-        upper[j] = caps.station_cap[s]
-    upper[u_var] = math.inf
     objective = [0.0] * n_vars
     objective[u_var] = 1.0
 
@@ -139,7 +147,7 @@ def build_flow_lp(net: PlantNetwork, caps: EffectiveCapacities) -> FlowProgram:
         rows=tuple(rows),
         rhs=tuple(rhs),
         lower=tuple(lower),
-        upper=tuple(upper),
+        upper=(),
     )
     return FlowProgram(lp=lp, edge_var=edge_var, station_var=station_var, u_var=u_var)
 
@@ -150,7 +158,7 @@ def build_flow_lp(net: PlantNetwork, caps: EffectiveCapacities) -> FlowProgram:
 
 @dataclass(frozen=True, eq=False)
 class LayeredGraph:
-    """The layered max-flow graph of one (network, model, mode), built once.
+    """The layered max-flow graph of one (network, model, mode): built once, shared, read-only.
 
     Arcs are the network's edges in listing order, then one source, bridge or
     sink arc per station in stage order. arc_rv[a] is the RV whose failure
@@ -181,6 +189,10 @@ class LayeredGraph:
     end_caps: np.ndarray
     end_rvs: np.ndarray
     num_rvs: int
+
+    def __post_init__(self):
+        for a in (self.tails, self.heads, self.nominal, self.arc_rv, self.end_caps, self.end_rvs):
+            a.flags.writeable = False
 
     def capacities(self, states) -> np.ndarray:
         """Arc capacities, in 2**-shift units, under a 0/1 state vector ordered like the model;
@@ -237,11 +249,17 @@ def build_layered_graph(
 ) -> LayeredGraph:
     """One vertex per (node, stage label), plus a super source and sink.
 
+    Memoised on the network, one slot per mode: a call whose model equals
+    (==) the slot's reuses its graph, any other compiles and takes the slot,
+    which relies on PlantNetwork and ComponentModel being immutable.
+
     Raises PlantDataError for an unknown mode or a network validate_network
-    refuses (naming its first violation), MappingError when an RV references
-    an asset the network does not have or another RV governs.
+    refuses (naming its first violation), MappingError as asset_owners does.
+    A refused compile stores nothing, so every such call refuses.
     """
     check_mode(mode)
+    if (slot := net._compiled.get(mode)) and slot[0] == model:
+        return slot[1]
     if bad := net._violations:
         raise PlantDataError(bad[0].message)
     owner = asset_owners(net, model)
@@ -279,13 +297,15 @@ def build_layered_graph(
     units = {c: num << (shift - den.bit_length() + 1) for c, (num, den) in ratios.items()}
     # int64 folds fastest; Python ints (object) hold any larger count exactly
     dtype = np.int64 if max(units.values()) < 2 ** 63 else object
-    return LayeredGraph(
+    graph = LayeredGraph(
         topology=dinic.build_topology(layers * n + 2, source, sink, tails, heads),
         tails=np.array(tails), heads=np.array(heads), mode=mode,
         shift=shift, nominal=np.array([units[c] for c in nominal], dtype=dtype),
         arc_rv=np.array(arc_rv, dtype=np.int64), refs=tuple(refs),
         end_caps=np.array([[units[c] for c in row] for row in end_caps], dtype=dtype),
         end_rvs=end_rvs, num_rvs=len(model))
+    net._compiled[mode] = (model, graph)
+    return graph
 
 
 def _solve(graph: LayeredGraph, states, cutoff: int | None = None) -> dinic.MaxFlowResult:

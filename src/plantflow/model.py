@@ -10,7 +10,7 @@ different stage labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -74,6 +74,15 @@ class PlantNetwork:
     def _violations(self) -> tuple[Violation, ...]:
         """validate_network(self).violations, found once per network."""
         return validate_network(self).violations
+
+    @cached_property
+    def _compiled(self) -> dict:
+        """flow's memo: the last (model, LayeredGraph) per mode, and the LP skeleton."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        """A copy or a pickle holds the fields alone and derives the rest afresh."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @cached_property
     def edge_index(self) -> dict[str, int]:
@@ -231,16 +240,17 @@ def validate_model(net: PlantNetwork, model: ComponentModel) -> ValidationReport
     Every asset must exist in the network, no asset may be governed by two
     RVs, rv ids must be unique, and failure probabilities must lie in [0, 1].
     """
-    bad: list[tuple[int, Violation]] = []
-    seen: set[str] = set()
-    for i, rv in enumerate(model.rvs):
-        if rv.rv_id in seen:
-            bad.append((i, Violation("duplicate-rv-id", f"rv id {rv.rv_id!r} used twice")))
-        seen.add(rv.rv_id)
     # stable by RV: each RV's own checks come before its asset checks
-    bad = sorted(bad + probability_violations(model) + _walk_assets(net, model)[1],
-                 key=lambda iv: iv[0])
+    bad = sorted(_duplicate_ids(model) + probability_violations(model)
+                 + _walk_assets(net, model)[1], key=lambda iv: iv[0])
     return ValidationReport(tuple(v for _, v in bad))
+
+
+def _duplicate_ids(model: ComponentModel) -> list[tuple[int, Violation]]:
+    """The id rule: each rv id names one RV."""
+    first: dict[str, int] = {}
+    return [(i, Violation("duplicate-rv-id", f"rv id {rv.rv_id!r} used twice"))
+            for i, rv in enumerate(model.rvs) if first.setdefault(rv.rv_id, i) != i]
 
 
 def probability_violations(model: ComponentModel) -> list[tuple[int, Violation]]:
@@ -283,9 +293,9 @@ def _walk_assets(
 
 
 def asset_owners(net: PlantNetwork, model: ComponentModel) -> dict[int | str, int]:
-    """Map every asset to the index of its RV; MappingError if unknown or shared."""
+    """Asset -> index of its RV; MappingError on a repeated rv id or an unknown or shared asset."""
     owners, bad = _walk_assets(net, model)
-    if bad:
+    if bad := sorted(_duplicate_ids(model) + bad, key=lambda iv: iv[0]):
         raise MappingError(bad[0][1].message)
     return owners
 

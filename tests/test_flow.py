@@ -7,7 +7,10 @@ solver and an external LP library. It is the anchor the backends are
 measured against.
 """
 
+import copy
+import gc
 import math
+import pickle
 import random
 import re
 from functools import partial
@@ -20,6 +23,7 @@ from plantflow.dinic import max_flow as dinic_max_flow
 from plantflow.errors import MappingError, PlantDataError
 from plantflow.flow import (
     BACKENDS,
+    LayeredGraph,
     SystemFunction,
     apply_scenario,
     build_flow_lp,
@@ -37,6 +41,7 @@ from plantflow.model import (
     Edge,
     PlantNetwork,
     RandomVariable,
+    validate_model,
 )
 from plantflow.reliability import ReliabilityQuery, birnbaum_importance, estimate_failure_probability
 
@@ -622,10 +627,8 @@ INVALID_PLANTS = [
 ]
 
 
-@pytest.mark.parametrize("net, message", INVALID_PLANTS)
-def test_every_evaluator_refuses_an_invalid_plant(net, message):
-    model = ComponentModel(tuple(RandomVariable(f"x{k}", 0.1, (k,)) for k in (1, 2, 3)))
-    refused = partial(pytest.raises, PlantDataError, match=re.escape(message))
+def every_evaluator_refuses(net, model, error, message):
+    refused = partial(pytest.raises, error, match=re.escape(message))
     with refused():
         build_layered_graph(net, model)
     for backend in BACKENDS:
@@ -639,6 +642,22 @@ def test_every_evaluator_refuses_an_invalid_plant(net, message):
             estimate(net, model, query)
 
 
+@pytest.mark.parametrize("net, message", INVALID_PLANTS)
+def test_every_evaluator_refuses_an_invalid_plant(net, message):
+    model = ComponentModel(tuple(RandomVariable(f"x{k}", 0.1, (k,)) for k in (1, 2, 3)))
+    every_evaluator_refuses(net, model, PlantDataError, message)
+
+
+def test_every_evaluator_refuses_a_duplicate_rv_id():
+    # left to compile, assignment_states would read {'x': 0} as both RVs down,
+    # while the estimators sample the two independently and list x twice
+    net = _line_plant()
+    model = ComponentModel((RandomVariable("x", 0.1, (1,)), RandomVariable("x", 0.2, (3,))))
+    message = "rv id 'x' used twice"
+    assert [v.message for v in validate_model(net, model).violations] == [message]
+    every_evaluator_refuses(net, model, MappingError, message)
+
+
 def test_a_network_is_checked_once(monkeypatch):
     calls = []
     real = model_module.validate_network
@@ -648,3 +667,68 @@ def test_a_network_is_checked_once(monkeypatch):
         max_processable_flow(doc.network, doc.model, backend=backend)
     compile_system(doc.network, doc.model, 0.5)
     assert calls == [doc.network]
+
+
+# ---------------------------------------------------------------------------
+# the compile memo: one graph per (network, model, mode), reused across calls
+
+
+def test_a_compiled_graph_is_read_only():
+    # every call with the same network, model and mode shares one graph
+    doc = datasets.builtin("gas")
+    g = build_layered_graph(doc.network, doc.model)
+    assert build_layered_graph(doc.network, doc.model) is g
+    for name in ("tails", "heads", "nominal", "arc_rv", "end_caps", "end_rvs"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(g, name)[0] = 0
+
+
+def test_the_compile_memo_answers_like_a_cold_compile():
+    # three models and all three modes interleave on one network, so every
+    # slot sees its model change; each answer must equal the answer of a
+    # copy of the network, which compiles afresh
+    doc = datasets.builtin("gas")
+    net, shipped = doc.network, doc.model
+    # without the first RV that owns an edge, that edge's arc has no owner
+    k = next(i for i, rv in enumerate(shipped.rvs) if any(isinstance(a, str) for a in rv.assets))
+    dropped = ComponentModel(shipped.rvs[:k] + shipped.rvs[k + 1:])
+    equal = copy.deepcopy(shipped)
+    # the pickle round trip is how a network reaches a worker process
+    shipped_net, shipped_copy = pickle.loads(pickle.dumps((net, shipped)))
+    cases = [(net, shipped), (net, dropped), (net, equal), (shipped_net, shipped_copy),
+             (net, shipped_copy), (shipped_net, dropped)]
+    target = doc.defaults.target_flow
+    rnd = random.Random(21)
+
+    def answers(net, model, mode, states):
+        a = dict(zip((rv.rv_id for rv in model.rvs), states))
+        flows = [max_processable_flow(net, model, a, mode=mode, backend=backend)
+                 for backend in BACKENDS]
+        fn = compile_system(net, model, target, mode=mode)
+        return ([(f.value, f.edge_flow, f.station_flow) for f in flows],
+                fn.evaluate(states), fn.flow_value(states))
+
+    for _ in range(2):
+        for mode in MODES:
+            for n, model in cases:
+                states = [0 if rnd.random() < 0.2 else 1 for _ in model.rvs]
+                assert answers(n, model, mode, states) == \
+                    answers(copy.copy(n), model, mode, states), (mode, len(model))
+
+
+def _graphs_alive() -> int:
+    gc.collect()
+    return sum(isinstance(o, LayeredGraph) for o in gc.get_objects())
+
+
+def test_the_compile_memo_stays_bounded():
+    doc = datasets.builtin("didactic")
+    net = copy.copy(doc.network)
+    before = _graphs_alive()
+    for _ in range(1000):  # each call makes its own empty model
+        max_processable_flow(net)
+    assert _graphs_alive() - before <= 1
+    models = (doc.model, ComponentModel(doc.model.rvs[1:]))
+    for k in range(200):
+        max_processable_flow(net, models[k % 2], mode=MODES[k % 3])
+    assert _graphs_alive() - before <= len(MODES)
