@@ -3,8 +3,11 @@
 Three plant families ship with the package: a small four-stage teaching
 network (``didactic``), a five-stage pressure regularisation plant in its
 as-built and expanded layouts (``pressure-original`` / ``pressure-expanded``),
-and a four-stage gas supply plant (``gas``). All of them can be serialised to
-a single JSON document schema and read back losslessly.
+and a four-stage gas supply plant (``gas``). One helper assembles all four
+from their stations and edges, and one component rule gives each its RVs:
+one per station, in stage order, then one per physical pipe, whose directed,
+stage-labelled edges between the same two nodes fail together. All of them
+can be serialised to a single JSON document schema and read back losslessly.
 """
 
 from __future__ import annotations
@@ -47,6 +50,52 @@ class NetworkDocument:
 
 
 # --------------------------------------------------------------------------
+# one assembly and one component rule for every built-in
+# --------------------------------------------------------------------------
+
+
+def _document(layers, p_fail: float, target_flow: float, name=None) -> NetworkDocument:
+    """Assemble a built-in plant and its component model.
+
+    Each layer is ``(stations, edges)``: ``stations[m-1]`` holds stage m's
+    ``(node, capacity)`` pairs, and each edge is ``(tail, head, stage,
+    capacity)``. A later layer adds its stations to the same stages and its
+    edges after the earlier ones; edge ids run e1, e2, ... in listing order.
+    The plant's nodes are 1 up to the highest node an edge touches.
+
+    The component rule gives each layer one RV per station, in stage order,
+    then one RV per physical pipe: the edges between the same two nodes, in
+    either direction and at any stage label, fail together, and pipes come
+    in order of first appearance. RVs are X1, X2, ... unless ``name(key)``
+    names each by its station node or its pipe's sorted node pair. A parallel
+    copy of a pipe that fails on its own must not be listed through this
+    rule, which would merge it into the existing pipe's RV.
+    """
+    stations: list[list[int]] = [[] for _ in layers[0][0]]
+    node_capacity: dict[int, float] = {}
+    edges: list[Edge] = []
+    groups: list[tuple[int | tuple[int, int], tuple[int | str, ...]]] = []
+    for layer_stations, layer_edges in layers:
+        for row, pairs in zip(stations, layer_stations):
+            for k, cap in pairs:
+                row.append(k)
+                node_capacity[k] = float(cap)
+                groups.append((k, (k,)))
+        pipes: dict[tuple[int, int], list[str]] = {}
+        for tail, head, stage, cap in layer_edges:
+            edges.append(Edge(f"e{len(edges) + 1}", tail, head, stage, float(cap)))
+            pipes.setdefault((min(tail, head), max(tail, head)), []).append(edges[-1].edge_id)
+        groups += [(pair, tuple(ids)) for pair, ids in pipes.items()]
+    net = PlantNetwork(
+        num_nodes=max(max(e.tail, e.head) for e in edges), num_stages=len(stations),
+        stations=tuple(map(tuple, stations)), node_capacity=node_capacity, edges=tuple(edges),
+    )
+    rvs = tuple(RandomVariable(name(key) if name else f"X{i}", p_fail, assets)
+                for i, (key, assets) in enumerate(groups, start=1))
+    return NetworkDocument(net, ComponentModel(rvs), AnalysisDefaults(target_flow))
+
+
+# --------------------------------------------------------------------------
 # didactic network
 # --------------------------------------------------------------------------
 
@@ -70,53 +119,17 @@ _DIDACTIC_STATIONS = (
 )
 
 
-def _didactic_pipes() -> list[tuple[str, list[str]]]:
-    """Group the stage-labelled edges into physical pipes.
-
-    Directed or stage-relabelled variants between the same two nodes are one
-    pipe and fail together. Pipes are ordered by first appearance.
-    """
-    pipes: dict[frozenset[int], tuple[str, list[str]]] = {}
-    for idx, (tail, head, _stage) in enumerate(_DIDACTIC_EDGES, start=1):
-        key = frozenset((tail, head))
-        a, b = sorted((tail, head))
-        entry = pipes.setdefault(key, (f"p{a}_{b}", []))
-        entry[1].append(f"e{idx}")
-    return list(pipes.values())
-
-
 def didactic(p_fail: float = 0.03) -> NetworkDocument:
     """Four-stage teaching network: 14 nodes, 21 stage-labelled edges.
 
-    The component model has one RV per station node and one per physical
-    pipe (14 pipes after merging directional and stage variants), all with
-    the same failure probability.
+    The component model has one RV per station node, named ``n{k}``, and one
+    per physical pipe, named ``p{a}_{b}`` (14 pipes after merging directional
+    and stage variants), all with the same failure probability.
     """
-    stations = tuple(nodes for nodes, _cap in _DIDACTIC_STATIONS)
-    node_capacity = {
-        k: cap for nodes, cap in _DIDACTIC_STATIONS for k in nodes
-    }
-    edges = tuple(
-        Edge(f"e{idx}", tail, head, stage, 1.0)
-        for idx, (tail, head, stage) in enumerate(_DIDACTIC_EDGES, start=1)
-    )
-    net = PlantNetwork(
-        num_nodes=14, num_stages=4,
-        stations=stations, node_capacity=node_capacity, edges=edges,
-    )
-    rvs = [
-        RandomVariable(f"n{k}", p_fail, (k,))
-        for nodes, _cap in _DIDACTIC_STATIONS for k in nodes
-    ]
-    rvs += [
-        RandomVariable(pipe_id, p_fail, tuple(edge_ids))
-        for pipe_id, edge_ids in _didactic_pipes()
-    ]
-    return NetworkDocument(
-        network=net,
-        model=ComponentModel(tuple(rvs)),
-        defaults=AnalysisDefaults(target_flow=1.0),
-    )
+    stations = tuple(tuple((k, cap) for k in nodes) for nodes, cap in _DIDACTIC_STATIONS)
+    edges = tuple((tail, head, stage, 1.0) for tail, head, stage in _DIDACTIC_EDGES)
+    return _document([(stations, edges)], p_fail, target_flow=1.0,
+                     name=lambda key: f"n{key}" if isinstance(key, int) else "p{}_{}".format(*key))
 
 
 # --------------------------------------------------------------------------
@@ -156,9 +169,6 @@ _PRESSURE_EXPANSION_STATIONS = (
     ((41, 30), (42, 420)),
     (),
 )
-# RV order: original station nodes, e1..e29, expansion station nodes, e30..e55
-_PRESSURE_NODE_RVS = (1, 2, 7, 8, 9, 15, 16, 17, 18, 20, 22, 24, 25)
-_PRESSURE_EXPANSION_NODE_RVS = (26, 27, 29, 30, 31, 34, 35, 36, 37, 38, 41, 42)
 
 
 def pressure(expanded: bool, p_fail: float = 0.03) -> NetworkDocument:
@@ -166,43 +176,13 @@ def pressure(expanded: bool, p_fail: float = 0.03) -> NetworkDocument:
 
     The original layout has 25 nodes, 29 edges and 42 component RVs; the
     expanded layout adds nodes 26..44, edges e30..e55 and their RVs (80 in
-    total). Every RV covers exactly one asset.
+    total). No two edges share their end nodes, so every RV covers exactly
+    one asset.
     """
-    n_edges = 55 if expanded else 29
-    num_nodes = 44 if expanded else 25
-    edges = tuple(
-        Edge(f"e{idx}", tail, head, stage, float(cap))
-        for idx, (tail, head, stage, cap) in enumerate(_PRESSURE_EDGES[:n_edges], start=1)
-    )
-    station_rows = [
-        orig + (extra if expanded else ())
-        for orig, extra in zip(_PRESSURE_STATIONS, _PRESSURE_EXPANSION_STATIONS)
-    ]
-    stations = tuple(tuple(k for k, _cap in row) for row in station_rows)
-    node_capacity = {k: float(cap) for row in station_rows for k, cap in row}
-    net = PlantNetwork(
-        num_nodes=num_nodes, num_stages=5,
-        stations=stations, node_capacity=node_capacity, edges=edges,
-    )
-
-    def rv_seq() -> list[tuple[str, tuple[int | str, ...]]]:
-        seq: list[tuple[str, tuple[int | str, ...]]] = []
-        seq += [(f"X{i}", (k,)) for i, k in enumerate(_PRESSURE_NODE_RVS, start=1)]
-        seq += [(f"X{13 + j}", (f"e{j}",)) for j in range(1, 30)]
-        if expanded:
-            seq += [
-                (f"X{i}", (k,))
-                for i, k in enumerate(_PRESSURE_EXPANSION_NODE_RVS, start=43)
-            ]
-            seq += [(f"X{25 + j}", (f"e{j}",)) for j in range(30, 56)]
-        return seq
-
-    rvs = tuple(RandomVariable(rv_id, p_fail, assets) for rv_id, assets in rv_seq())
-    return NetworkDocument(
-        network=net,
-        model=ComponentModel(rvs),
-        defaults=AnalysisDefaults(target_flow=90.0),
-    )
+    layers = [(_PRESSURE_STATIONS, _PRESSURE_EDGES[:29])]
+    if expanded:
+        layers.append((_PRESSURE_EXPANSION_STATIONS, _PRESSURE_EDGES[29:]))
+    return _document(layers, p_fail, target_flow=90.0)
 
 
 # --------------------------------------------------------------------------
@@ -245,51 +225,14 @@ _GAS_STAGE2_STATIONS = (
     46, 48, 49, 51, 52,
 )
 
-_GAS_NODE_RVS = (1, 2) + _GAS_STAGE2_STATIONS + (53, 55, 57)
-
-# Edge groups for X31..X87; edges sharing end nodes are one physical asset.
-_GAS_EDGE_RVS = (
-    (1,), (2,), (3,), (4, 5), (6,),
-    (7, 8), (9, 10), (11, 12), (13, 14), (15, 16),
-    (17, 18), (19, 20), (21, 22), (23, 24), (25, 26),
-    (27,), (28, 29), (30, 31), (32, 33), (34, 35),
-    (36, 37), (38, 39), (40, 41), (42, 43), (44, 45),
-    (46, 47), (48, 49), (50, 51), (52, 53), (54, 55),
-    (56,), (57, 58), (59, 60), (61, 62), (63, 64),
-    (65, 66), (67, 68), (69, 70), (71, 72), (73, 74),
-    (75, 76), (77, 78), (79, 80), (81, 82), (83, 84),
-    (85, 86), (87, 88), (89, 90), (91, 92), (93, 94),
-    (95, 96), (97,), (98,), (99,), (100,),
-    (101,), (102,),
-)
 
 
 def gas(p_fail: float = 0.03) -> NetworkDocument:
     """Four-stage gas supply plant: 57 nodes, 102 edges, 87 component RVs."""
-    stations = ((1, 2), _GAS_STAGE2_STATIONS, (53, 55), (57,))
-    node_capacity: dict[int, float] = {1: 0.5, 2: 0.5, 53: 0.5, 55: 0.5, 57: 1.0}
-    node_capacity.update({k: 0.25 for k in _GAS_STAGE2_STATIONS})
-    edges = tuple(
-        Edge(f"e{idx}", tail, head, stage, 1.0)
-        for idx, (tail, head, stage) in enumerate(_GAS_EDGES, start=1)
-    )
-    net = PlantNetwork(
-        num_nodes=57, num_stages=4,
-        stations=stations, node_capacity=node_capacity, edges=edges,
-    )
-    rvs = [
-        RandomVariable(f"X{i}", p_fail, (k,))
-        for i, k in enumerate(_GAS_NODE_RVS, start=1)
-    ]
-    rvs += [
-        RandomVariable(f"X{i}", p_fail, tuple(f"e{j}" for j in group))
-        for i, group in enumerate(_GAS_EDGE_RVS, start=31)
-    ]
-    return NetworkDocument(
-        network=net,
-        model=ComponentModel(tuple(rvs)),
-        defaults=AnalysisDefaults(target_flow=0.5),
-    )
+    stage2 = tuple((k, 0.25) for k in _GAS_STAGE2_STATIONS)
+    stations = (((1, 0.5), (2, 0.5)), stage2, ((53, 0.5), (55, 0.5)), ((57, 1.0),))
+    edges = tuple((tail, head, stage, 1.0) for tail, head, stage in _GAS_EDGES)
+    return _document([(stations, edges)], p_fail, target_flow=0.5)
 
 
 _BUILDERS = {"didactic": didactic, "pressure-original": partial(pressure, expanded=False),
@@ -410,6 +353,10 @@ def parse_text(text: str) -> NetworkDocument:
     comp_items = top.take("components", list)
     defaults_obj = top.take("defaults", dict)
     top.close()
+    # every stage needs a station, and every station is a node entry
+    if num_stages > len(node_items):
+        raise DataFormatError(
+            f"document.stage_count: {num_stages} stages but only {len(node_items)} node entries")
 
     stage_nodes: dict[int, list[int]] = {m: [] for m in range(1, num_stages + 1)}
     node_capacity: dict[int, float] = {}

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
+from .datasets import didactic
 from .errors import PlantDataError
 
 OR = "or"
@@ -142,9 +143,8 @@ def didactic_fault_tree() -> Gate:
     single supply station is a bare event; and the pipe subsystem is
     approximated as 7-of-14:F. RV ids match datasets.didactic().
     """
-    from .datasets import _didactic_pipes
-
-    pipe_ids = [pipe_id for pipe_id, _edges in _didactic_pipes()]
+    # the pipe RVs are the ones governing edges, named by datasets' component rule
+    pipe_ids = [rv.rv_id for rv in didactic().model.rvs if isinstance(rv.assets[0], str)]
     return or_gate(
         or_gate("n1", "n2"),
         k_of_n(2, "n5", "n7", "n9"),

@@ -121,6 +121,16 @@ def test_non_finite_target_is_input_error(argv, capsys):
     assert "--target" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["reliability", "--workers", "0"], "--workers"),
+    (["importance", "--bottom", "-1"], "--bottom"),
+])
+def test_out_of_range_count_is_input_error(argv, flag, capsys):
+    code, _, err = run(capsys, *argv, "--builtin", "didactic", "--samples", "10")
+    assert code == 2
+    assert flag in err
+
+
 def test_maxflow_rejects_target(capsys):
     # the target only matters to the sampling commands
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Built-in datasets: shapes, round-trips, and strict parsing."""
 
 import json
+import time
 
 import pytest
 
@@ -175,3 +176,49 @@ def test_parse_rejects_non_finite_target():
     doc["defaults"]["target_flow"] = float("-inf")
     with pytest.raises(DataFormatError, match=r"defaults\.target_flow"):
         datasets.parse_text(json.dumps(doc))
+
+
+def _didactic_json() -> dict:
+    return json.loads(datasets.to_text(datasets.builtin("didactic")))
+
+
+# each refusal names the JSON path of the offending field
+@pytest.mark.parametrize("path, value, message", [
+    pytest.param(("nodes", 0), 5, r"nodes\[0\]: expected an object, got int", id="not-an-object"),
+    pytest.param(("edges", 0, "capacity"), "1", r"edges\[0\]\.capacity: expected a number",
+                 id="not-a-number"),
+    pytest.param(("edges", 0, "tail"), 1.5, r"edges\[0\]\.tail: expected an integer",
+                 id="not-an-integer"),
+    pytest.param(("edges", 0, "id"), 7, r"edges\[0\]\.id: expected str, got int",
+                 id="wrong-json-type"),
+    pytest.param(("nodes", 0, "colour"), "red", r"nodes\[0\]: unknown field\(s\) \['colour'\]",
+                 id="unknown-field"),
+    pytest.param(("nodes", 0, "stage"), 5, r"nodes\[0\]\.stage: 5 outside 1\.\.4",
+                 id="stage-out-of-range"),
+    pytest.param(("components", 0, "assets"), [1.5],
+                 r"components\[0\]\.assets\[0\]: expected a node index or edge id", id="asset-type"),
+    pytest.param(("defaults", "mode"), "edge-avg", r"defaults\.mode: unknown mode 'edge-avg'",
+                 id="unknown-mode"),
+])
+def test_parse_refusal_names_the_field(path, value, message):
+    doc = _didactic_json()
+    *parents, last = path
+    item = doc
+    for key in parents:
+        item = item[key]
+    item[last] = value
+    with pytest.raises(DataFormatError, match=message):
+        datasets.parse_text(json.dumps(doc))
+
+
+def test_parse_refuses_more_stages_than_node_entries_before_sizing_them():
+    # unchecked, the parser built one list per declared stage and reported
+    # each empty one: seconds and tens of MB of message for 10**6 stages
+    doc = _didactic_json()
+    doc["stage_count"] = 10 ** 6
+    text = json.dumps(doc)
+    start = time.perf_counter()
+    with pytest.raises(DataFormatError, match=r"document\.stage_count") as exc:
+        datasets.parse_text(text)
+    assert time.perf_counter() - start < 1.0
+    assert len(str(exc.value)) < 1000

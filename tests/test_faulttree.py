@@ -87,6 +87,17 @@ def test_missing_probability_rejected():
         failure_probability(or_gate("a", "b"), {"a": 0.1})
 
 
+def test_empty_gate_missing_state_and_bad_probability_rejected():
+    for gate in (or_gate, and_gate):
+        with pytest.raises(PlantDataError, match="at least one child"):
+            gate()
+    with pytest.raises(PlantDataError, match="no state for rv 'b'"):
+        evaluate_failure(or_gate("a", "b"), {"a": 1})
+    for q in (1.5, -0.1):
+        with pytest.raises(PlantDataError, match=rf"rv 'a' probability {q} outside \[0, 1\]"):
+            failure_probability(or_gate("a"), {"a": q})
+
+
 def test_degenerate_probabilities():
     tree = didactic_fault_tree()
     ids = event_ids(tree)

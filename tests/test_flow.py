@@ -624,6 +624,20 @@ INVALID_PLANTS = [
                  "station 3 has no explicit capacity", id="station-capacity"),
     pytest.param(_line_plant(edges=(Edge("a", 1, 2, 1, 1.0), Edge("a", 2, 3, 2, 1.0))),
                  "edge id 'a' used twice", id="duplicate-edge-id"),
+    pytest.param(_line_plant(num_stages=1, stations=((1, 2, 3),)),
+                 "need at least 2 stages, got 1", id="stages"),
+    pytest.param(_line_plant(stations=((1,), (2,))),
+                 "stations lists 2 stages, network declares 3", id="stations"),
+    pytest.param(_line_plant(stations=((1,), (), (3,))),
+                 "stage 2 has no stations", id="empty-stage"),
+    pytest.param(_line_plant(stations=((1,), (2,), (4,))),
+                 "stage 3 station 4 outside 1..3", id="station-node-range"),
+    pytest.param(_line_plant(node_capacity={1: 1.0, 2: 1.0, 3: 1.0, 7: 1.0}),
+                 "capacity given for unknown node 7", id="capacity-node-range"),
+    pytest.param(_line_plant(node_capacity={1: 1.0, 2: -1.0, 3: 1.0}),
+                 "node 2 capacity -1.0 < 0", id="negative-node-capacity"),
+    pytest.param(_line_plant(edges=(Edge("a", 1, 2, 1, 1.0), Edge("b", 2, 2, 2, 1.0))),
+                 "edge b is a self-loop at node 2", id="self-loop"),
 ]
 
 

@@ -417,6 +417,16 @@ def test_query_validation():
                 run(doc.network, doc.model, ReliabilityQuery(target_flow=target, samples=10))
 
 
+def test_ranking_refuses_a_negative_limit_and_importance_an_unknown_method():
+    doc = datasets.builtin("didactic")
+    q = ReliabilityQuery(target_flow=1.0, samples=10)
+    with pytest.raises(PlantDataError, match="unknown importance method 'x'"):
+        birnbaum_importance(doc.network, doc.model, q, method="x")
+    rep = birnbaum_importance(doc.network, doc.model, q)
+    with pytest.raises(ValueError, match="limit must be nonnegative, got -1"):
+        rank_components(rep, limit=-1)
+
+
 @pytest.mark.parametrize("p_fail", [1.5, -0.1, math.nan])
 def test_sampler_refuses_probabilities_outside_the_unit_interval(p_fail):
     doc = datasets.builtin("didactic")
