@@ -256,7 +256,7 @@ def to_text(doc: NetworkDocument) -> str:
     """Render a document in the canonical JSON form."""
     net, model, defaults = doc.network, doc.model, doc.defaults
     nodes = []
-    for k in range(1, net.num_nodes + 1):
+    for k in sorted({*net.station_stage, *net.node_capacity}):
         entry: dict = {"id": k}
         stage = net.station_stage.get(k)
         if stage is not None:
@@ -264,8 +264,7 @@ def to_text(doc: NetworkDocument) -> str:
         cap = net.node_capacity.get(k)
         if cap is not None:
             entry["capacity"] = cap
-        if len(entry) > 1:
-            nodes.append(entry)
+        nodes.append(entry)
     payload = {
         "format_version": FORMAT_VERSION,
         "node_count": net.num_nodes,

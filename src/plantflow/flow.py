@@ -5,14 +5,15 @@ Two interchangeable backends compute the same quantity:
 - "lp": an equality-form linear program over per-edge flows plus one
   processing variable per station (intake at the first stage, bridged
   throughput at middle stages, delivery at the last stage) and the objective
-  variable u. Flow is conserved per node and per stage label, so material on
-  an m-labelled edge stays m-labelled until a stage-(m+1) station processes
-  it.
-- "maxflow": the equivalent layered graph, one copy of every node per stage
-  label, with edges as intra-layer arcs and stations as source, bridge, or
-  sink arcs. A station's capacity bounds its arc; Dinic's algorithm does the
-  rest, in exact integer arithmetic (see LayeredGraph), and its results
-  leave this module as the nearest floats.
+  variable u, in that column order: build_flow_lp returns a plain
+  LinearProgram. Flow is conserved per node and per stage label, so material
+  on an m-labelled edge stays m-labelled until a stage-(m+1) station
+  processes it.
+- "maxflow": the equivalent layered graph, one copy per stage label of every
+  node an edge or station touches, with edges as intra-layer arcs and
+  stations as source, bridge, or sink arcs. A station's capacity bounds its
+  arc; Dinic's algorithm does the rest, in exact integer arithmetic (see
+  LayeredGraph), and its results leave this module as the nearest floats.
 
 Both backends honour the three node-capacity semantics described at
 apply_scenario through one scenario fold, LayeredGraph.capacities: max flow
@@ -73,83 +74,54 @@ class EffectiveCapacities:
     station_cap: dict[int, float]
 
 
-@dataclass(frozen=True)
-class FlowProgram:
-    """LP plus the column map needed to read a solution back."""
-
-    lp: LinearProgram
-    edge_var: dict[str, int]
-    station_var: dict[int, int]
-    u_var: int
-
-
-def build_flow_lp(net: PlantNetwork, caps: EffectiveCapacities) -> FlowProgram:
+def build_flow_lp(net: PlantNetwork, caps: EffectiveCapacities) -> LinearProgram:
     """Assemble the throughput LP for one set of effective capacities.
 
-    Edge variables are bounded by edge_cap and station variables by
-    station_cap, which is math.inf in the modes that fold node limits into
-    the edge bounds. Only those bounds depend on caps; the rest is compiled
-    once per network, in the memo build_layered_graph keeps there.
+    Columns: the edge flows in listing order, then the station flows in
+    stage order (the layered graph's arcs, in LayeredGraph.refs order), then
+    u, the objective. Edge columns are bounded by edge_cap and station
+    columns by station_cap, which is math.inf in the modes that fold node
+    limits into the edge bounds. Only those bounds depend on caps; the rest
+    is compiled once per network, in the memo build_layered_graph keeps
+    there.
     """
     if (skeleton := net._compiled.get(LP_BACKEND)) is None:
         skeleton = net._compiled[LP_BACKEND] = _lp_skeleton(net)
-    upper = [0.0] * skeleton.lp.num_vars
-    for var, cap in ((skeleton.edge_var, caps.edge_cap), (skeleton.station_var, caps.station_cap)):
-        for ref, j in var.items():
-            upper[j] = cap[ref]
-    upper[skeleton.u_var] = math.inf
-    return FlowProgram(replace(skeleton.lp, upper=tuple(upper)), dict(skeleton.edge_var),
-                       dict(skeleton.station_var), skeleton.u_var)
+    upper = [caps.edge_cap[e.edge_id] for e in net.edges]
+    upper += [caps.station_cap[s] for s in net.station_stage]
+    return replace(skeleton, upper=(*upper, math.inf))
 
 
-def _lp_skeleton(net: PlantNetwork) -> FlowProgram:
+def _lp_skeleton(net: PlantNetwork) -> LinearProgram:
     """The network's flow LP without its upper bounds (upper is empty)."""
-    edge_var = {e.edge_id: i for i, e in enumerate(net.edges)}
-    station_var: dict[int, int] = {}
-    col = len(net.edges)
-    for members in net.stations:
-        for s in members:
-            station_var[s] = col
-            col += 1
-    u_var = col
-    n_vars = col + 1
-
-    lower = [0.0] * n_vars
+    m = len(net.edges)
+    n_vars = m + len(net.station_stage) + 1
+    u = n_vars - 1
     objective = [0.0] * n_vars
-    objective[u_var] = 1.0
+    objective[u] = 1.0
 
     # Per (node, stage label) balance: net outflow minus the station term.
     balance: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    for e in net.edges:
-        j = edge_var[e.edge_id]
+    for j, e in enumerate(net.edges):
         balance.setdefault((e.tail, e.stage), []).append((j, 1.0))
         balance.setdefault((e.head, e.stage), []).append((j, -1.0))
     last = net.num_stages
-    for s, stage in net.station_stage.items():
-        j = station_var[s]
+    intake, delivery = [], []
+    for j, (s, stage) in enumerate(net.station_stage.items(), start=m):
         if stage == 1:
             balance.setdefault((s, 1), []).append((j, -1.0))
+            intake.append((j, 1.0))
         elif stage == last:
             balance.setdefault((s, last - 1), []).append((j, 1.0))
+            delivery.append((j, 1.0))
         else:
             balance.setdefault((s, stage - 1), []).append((j, 1.0))
             balance.setdefault((s, stage), []).append((j, -1.0))
 
     rows = [tuple(terms) for _, terms in sorted(balance.items())]
-    intake = [(station_var[s], 1.0) for s in net.stations[0]]
-    delivery = [(station_var[s], 1.0) for s in net.stations[last - 1]]
-    rows.append(tuple(intake + [(u_var, -1.0)]))
-    rows.append(tuple(delivery + [(u_var, -1.0)]))
-    rhs = [0.0] * len(rows)
-
-    lp = LinearProgram(
-        objective=tuple(objective),
-        rows=tuple(rows),
-        rhs=tuple(rhs),
-        lower=tuple(lower),
-        upper=(),
-    )
-    return FlowProgram(lp=lp, edge_var=edge_var, station_var=station_var, u_var=u_var)
+    rows += [(*intake, (u, -1.0)), (*delivery, (u, -1.0))]
+    return LinearProgram(objective=tuple(objective), rows=tuple(rows), rhs=(0.0,) * len(rows),
+                         lower=(0.0,) * n_vars, upper=())
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +221,9 @@ def build_layered_graph(
 ) -> LayeredGraph:
     """One vertex per (node, stage label), plus a super source and sink.
 
+    Only the nodes that an edge or a station touches get vertices, so a
+    node_count beyond them costs nothing.
+
     Memoised on the network, one slot per mode: a call whose model equals
     (==) the slot's reuses its graph, any other compiles and takes the slot,
     which relies on PlantNetwork and ComponentModel being immutable.
@@ -263,15 +238,17 @@ def build_layered_graph(
     if bad := net._violations:
         raise PlantDataError(bad[0].message)
     owner = asset_owners(net, model)
-    n, layers = net.num_nodes, net.num_stages - 1
+    edges = net.edges
+    index = {v: i for i, v in enumerate(sorted({*net.station_stage, *(e.tail for e in edges),
+                                                *(e.head for e in edges)}))}
+    n, layers = len(index), net.num_stages - 1
     source = layers * n
     sink = source + 1
 
     def vertex(node: int, label: int) -> int:
-        return (label - 1) * n + node - 1
+        return (label - 1) * n + index[node]
 
-    node_cap = [0.0] + [net.resolved_node_capacity(v) for v in range(1, n + 1)]
-    edges = net.edges
+    node_cap = {v: net.resolved_node_capacity(v) for v in index}
     tails = [vertex(e.tail, e.stage) for e in edges]
     heads = [vertex(e.head, e.stage) for e in edges]
     nominal = [e.capacity for e in edges]
@@ -292,7 +269,8 @@ def build_layered_graph(
             nominal.append(node_cap[s] if bound_stations else huge)
             arc_rv.append(owner.get(s, -1) if bound_stations else -1)
 
-    ratios = {c: float(c).as_integer_ratio() for c in {*nominal, *node_cap}}  # dens: powers of 2
+    # every denominator is a power of 2
+    ratios = {c: float(c).as_integer_ratio() for c in {*nominal, *node_cap.values()}}
     shift = max(den.bit_length() - 1 for _, den in ratios.values())
     units = {c: num << (shift - den.bit_length() + 1) for c, (num, den) in ratios.items()}
     # int64 folds fastest; Python ints (object) hold any larger count exactly
@@ -354,8 +332,8 @@ def apply_scenario(
     return build_layered_graph(net, model, mode).effective(assignment_states(model, assignment))
 
 
-def _lp_optimum(prog: FlowProgram):
-    sol = solve_lp(prog.lp)
+def _lp_optimum(lp: LinearProgram):
+    sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise RuntimeError(f"throughput LP ended {sol.status}, expected optimal")
     return sol
@@ -399,11 +377,10 @@ def max_processable_flow(
         assignment = model.all_up()
 
     if backend == LP_BACKEND:
-        prog = build_flow_lp(net, apply_scenario(net, model, assignment, mode))
-        sol = _lp_optimum(prog)
-        x = sol.x
-        edge_flow = {eid: x[j] for eid, j in prog.edge_var.items()}
-        station_flow = {s: x[j] for s, j in prog.station_var.items()}
+        sol = _lp_optimum(build_flow_lp(net, apply_scenario(net, model, assignment, mode)))
+        x, m = sol.x, len(net.edges)
+        edge_flow = {e.edge_id: f for e, f in zip(net.edges, x[:m])}
+        station_flow = dict(zip(net.station_stage, x[m:-1]))
         return FlowSolution(sol.objective_value, mode, backend, edge_flow, station_flow)
 
     graph = build_layered_graph(net, model, mode)

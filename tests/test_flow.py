@@ -13,6 +13,7 @@ import math
 import pickle
 import random
 import re
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -133,6 +134,15 @@ def test_didactic_layered_graph_shape():
     assert kinds["sink"][0][1] == 1.0
 
 
+def test_untouched_nodes_get_no_vertices():
+    # node_count 10**5 on didactic's 14 touched nodes: 3 layers x 14 + 2, not 3 x 10**5 + 2
+    doc = datasets.builtin("didactic")
+    wide = replace(doc, network=replace(doc.network, num_nodes=10 ** 5))
+    assert build_layered_graph(wide.network, wide.model).topology.num_vertices == 3 * 14 + 2
+    assert max_processable_flow(wide.network, wide.model).value == 1.0
+    assert datasets.parse_text(datasets.to_text(wide)) == wide
+
+
 def test_layered_graph_arcs_map_back_to_the_network():
     doc = datasets.builtin("gas")
     net = doc.network
@@ -153,15 +163,25 @@ def test_layered_graph_arcs_map_back_to_the_network():
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("name", datasets.BUILTINS)
 def test_lp_columns_follow_the_arc_order(name, mode):
-    # LayeredGraph._readout splits arc-ordered vectors by this order
+    # column j is arc j of the layered graph, u the last; with distinct
+    # capacities (edge i: i + 1, station s: 1000 + s) the bounds tell them apart
     doc = datasets.builtin(name)
-    g = build_layered_graph(doc.network, doc.model, mode)
-    prog = build_flow_lp(doc.network, g.effective(np.ones(len(doc.model))))
-    m = len(prog.edge_var)
-    assert tuple(prog.edge_var) == g.refs[:m]
-    assert tuple(prog.station_var) == g.refs[m:]
-    assert [*prog.edge_var.values(), *prog.station_var.values()] == list(range(len(g.refs)))
-    assert prog.u_var == len(g.refs) == prog.lp.num_vars - 1
+    edges = tuple(replace(e, capacity=i + 1.0) for i, e in enumerate(doc.network.edges))
+    net = replace(doc.network, edges=edges,
+                  node_capacity={s: 1000.0 + s for s in doc.network.station_stage})
+    g = build_layered_graph(net, doc.model, mode)
+    caps = g.effective(np.ones(len(doc.model)))
+    lp = build_flow_lp(net, caps)
+    m = len(net.edges)
+    assert lp.num_vars == len(g.refs) + 1
+    assert lp.upper[:m] == tuple(caps.edge_cap[ref] for ref in g.refs[:m])
+    assert lp.upper[m:-1] == tuple(caps.station_cap[ref] for ref in g.refs[m:])
+    assert lp.upper[-1] == math.inf
+    assert lp.objective == (0.0,) * len(g.refs) + (1.0,)
+    if mode != EDGE_MAX:  # a max fold can tie edges
+        assert len(set(lp.upper[:m])) == m
+    if mode == STATION_THROUGHPUT:  # elsewhere every station is bounded by math.inf
+        assert len(set(lp.upper[m:-1])) == len(g.refs) - m
 
 
 def test_compile_rejects_unknown_mode():
@@ -303,10 +323,10 @@ def test_micro_plant_bottleneck():
 def test_micro_plant_lp_shape():
     net = micro_plant()
     caps = apply_scenario(net, ComponentModel(rvs=()), {})
-    prog = build_flow_lp(net, caps)
+    lp = build_flow_lp(net, caps)
     # one edge variable, one station slack per station, and u
-    assert prog.lp.num_vars == 1 + 2 + 1
-    sol = solve_lp(prog.lp)
+    assert lp.num_vars == 1 + 2 + 1
+    sol = solve_lp(lp)
     assert sol.status == OPTIMAL
     assert sol.objective_value == pytest.approx(0.7, abs=1e-9)
 
@@ -314,10 +334,11 @@ def test_micro_plant_lp_shape():
 def test_didactic_lp_shape():
     doc = datasets.builtin("didactic")
     caps = apply_scenario(doc.network, doc.model, doc.model.all_up())
-    prog = build_flow_lp(doc.network, caps)
-    assert len(prog.edge_var) == 21
-    assert len(prog.station_var) == 8
-    assert prog.lp.num_vars == 21 + 8 + 1
+    lp = build_flow_lp(doc.network, caps)
+    assert len(caps.edge_cap) == 21
+    assert len(caps.station_cap) == 8
+    assert lp.num_vars == 21 + 8 + 1
+    assert lp.upper == (*caps.edge_cap.values(), *caps.station_cap.values(), math.inf)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -327,8 +348,9 @@ def test_lp_station_bounds_are_the_station_capacities(mode):
     if mode != STATION_THROUGHPUT:
         # node limits are folded into the edges, so stations bound nothing
         assert set(caps.station_cap.values()) == {math.inf}
-    prog = build_flow_lp(doc.network, caps)
-    assert {s: prog.lp.upper[j] for s, j in prog.station_var.items()} == caps.station_cap
+    lp = build_flow_lp(doc.network, caps)
+    m = len(doc.network.edges)
+    assert dict(zip(doc.network.station_stage, lp.upper[m:-1])) == caps.station_cap
 
 
 def test_zero_capacity_stage_is_legal():
@@ -375,17 +397,15 @@ def test_station_layer_cuts_bound_the_optimum():
 
 def _residuals(net, caps, sol):
     """Plug a solution back into the balance rows; return worst violation."""
-    prog = build_flow_lp(net, caps)
-    x = [0.0] * prog.lp.num_vars
-    for eid, j in prog.edge_var.items():
-        x[j] = sol.edge_flow[eid]
-    for s, j in prog.station_var.items():
-        x[j] = sol.station_flow[s]
-    x[prog.u_var] = sol.value
+    lp = build_flow_lp(net, caps)
+    # columns: edges in listing order, stations in stage order, then u
+    x = [*(sol.edge_flow[e.edge_id] for e in net.edges),
+         *(sol.station_flow[s] for s in net.station_stage), sol.value]
+    assert len(x) == lp.num_vars
     worst = 0.0
-    for row, rhs in zip(prog.lp.rows, prog.lp.rhs):
+    for row, rhs in zip(lp.rows, lp.rhs):
         worst = max(worst, abs(sum(c * x[j] for j, c in row) - rhs))
-    for j, (lo, hi) in enumerate(zip(prog.lp.lower, prog.lp.upper)):
+    for j, (lo, hi) in enumerate(zip(lp.lower, lp.upper)):
         worst = max(worst, lo - x[j], x[j] - hi)
     return worst
 

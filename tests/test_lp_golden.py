@@ -59,7 +59,7 @@ def _plant_digest(name: str, mode: str) -> dict:
     for rate in DOWN_RATES:
         for _ in range(SCENARIOS_PER_RATE):
             assignment = {rv.rv_id: 0 if rnd.random() < rate else 1 for rv in model.rvs}
-            digest.put(solve_lp(build_flow_lp(net, apply_scenario(net, model, assignment, mode)).lp))
+            digest.put(solve_lp(build_flow_lp(net, apply_scenario(net, model, assignment, mode))))
     return digest.record(network=name, mode=mode)
 
 

@@ -98,7 +98,7 @@ def test_dinic_float_lp_and_exact_lp_agree_in_every_mode(plant, data):
         u_dinic = max_processable_flow(net, model, assignment, mode=mode).value
         # the LP backend raises unless the float simplex ends optimal
         u_lp = max_processable_flow(net, model, assignment, mode=mode, backend="lp").value
-        exact = solve_lp_exact(build_flow_lp(net, apply_scenario(net, model, assignment, mode)).lp)
+        exact = solve_lp_exact(build_flow_lp(net, apply_scenario(net, model, assignment, mode)))
         assert exact.status == OPTIMAL
         assert abs(u_lp - u_dinic) <= 1e-9
         assert exact.objective_value == u_dinic
@@ -185,7 +185,7 @@ def test_scipy_highs_agrees_with_dinic_in_every_mode(plant, data):
     net, model, _, _ = plant
     assignment = {rv.rv_id: data.draw(st.integers(0, 1)) for rv in model.rvs}
     for mode in MODES:
-        lp = build_flow_lp(net, apply_scenario(net, model, assignment, mode)).lp
+        lp = build_flow_lp(net, apply_scenario(net, model, assignment, mode))
         a_eq = np.zeros((len(lp.rows), lp.num_vars))
         for i, row in enumerate(lp.rows):
             for j, c in row:
