@@ -7,19 +7,24 @@ Solves maximisation problems with equality constraints and box bounds:
 using a two-phase primal simplex with bounded variables (nonbasic variables
 rest at either bound). The tableau is a numpy array over the structural
 columns only: phase 1 starts every row on an artificial that has no column,
-since an artificial never re-enters. A pivot touches only the rows with a
-nonzero in the entering column, and the ratio test reads only the rows above
-the pivot tolerance, which on the plant programs here is a few rows in a
-hundred. One price row serves both phases: the row sums in phase 1, then
-c - c_B T, priced once the artificials are out. Pricing is Dantzig's rule,
-switched for good to Bland's after a run of degenerate pivots, which
-guarantees termination. There is no external solver dependency; problem
-sizes here are a few hundred variables at most.
+since an artificial never re-enters. A pivot touches only the entries whose
+row is nonzero in the entering column and whose column is nonzero in the
+pivot row. One price row serves both phases: the row sums in phase 1, then
+c - c_B T, priced once the artificials are out. Each column carries a sign,
+the direction it may move in: +1 at its lower bound, -1 at its upper bound,
+0 when basic or fixed. So pricing is one product of prices and signs and one
+argmax, with Dantzig's rule, switched for good to Bland's after a run of
+degenerate pivots, which guarantees termination. The ratio test reads only
+the rows above the pivot tolerance, which on the plant programs here is a
+few rows in a hundred, and runs over them as Python floats: at that size a
+numpy call costs more than the arithmetic it does. There is no external
+solver dependency; problem sizes here are a few hundred variables at most.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,31 +68,52 @@ class LpSolution:
 
 def check_structure(lp: LinearProgram) -> None:
     """Raise ValueError on malformed input; cheap and done before solving."""
+    _checked_entries(lp)
+
+
+def _checked_entries(lp: LinearProgram) -> tuple[list, list]:
+    """check_structure's tests; returns the rows' column indices and
+    coefficients in listing order, which the tableau is built from.
+
+    Each rule is tested over all entries at once, by builtins that loop in C;
+    only when one fails does a per-entry loop run, to name the first offender.
+    """
     n = lp.num_vars
     if not (len(lp.lower) == len(lp.upper) == n):
         raise ValueError(
             f"bounds length mismatch: {len(lp.lower)}/{len(lp.upper)} vs {n} variables")
     if len(lp.rows) != len(lp.rhs):
         raise ValueError(f"{len(lp.rows)} rows but {len(lp.rhs)} rhs entries")
-    for j, (lo, hi) in enumerate(zip(lp.lower, lp.upper)):
-        if lo < 0:
-            raise ValueError(f"variable {j}: lower bound {lo} is negative")
-        if hi < lo:
-            raise ValueError(f"variable {j}: upper bound {hi} below lower bound {lo}")
-        if not math.isfinite(lo):
-            raise ValueError(f"variable {j}: lower bound must be finite")
-    for c in lp.objective:
-        if not math.isfinite(c):
-            raise ValueError("objective coefficients must be finite")
-    for b in lp.rhs:
-        if not math.isfinite(b):
-            raise ValueError("rhs entries must be finite")
-    for i, row in enumerate(lp.rows):
-        for j, coef in row:
-            if not 0 <= j < n:
-                raise ValueError(f"row {i}: variable index {j} outside 0..{n - 1}")
-            if not math.isfinite(coef):
-                raise ValueError(f"row {i}: coefficient for variable {j} must be finite")
+    # every comparison with NaN is false, so a NaN upper bound fails the last test
+    if not (all(map(math.isfinite, lp.lower)) and min(lp.lower, default=0.0) >= 0
+            and all(map(operator.ge, lp.upper, lp.lower))):
+        for j, (lo, hi) in enumerate(zip(lp.lower, lp.upper)):
+            if lo < 0:
+                raise ValueError(f"variable {j}: lower bound {lo} is negative")
+            if hi < lo:
+                raise ValueError(f"variable {j}: upper bound {hi} below lower bound {lo}")
+            if not math.isfinite(lo):
+                raise ValueError(f"variable {j}: lower bound must be finite")
+            if math.isnan(hi):
+                raise ValueError(f"variable {j}: upper bound is NaN")
+    if not all(map(math.isfinite, lp.objective)):
+        raise ValueError("objective coefficients must be finite")
+    if not all(map(math.isfinite, lp.rhs)):
+        raise ValueError("rhs entries must be finite")
+    columns = [j for row in lp.rows for j, _ in row]
+    coefs = [coef for row in lp.rows for _, coef in row]
+    if not (set(map(type, columns)) <= {int} and min(columns, default=0) >= 0
+            and max(columns, default=-1) < n and all(map(math.isfinite, coefs))):
+        for i, row in enumerate(lp.rows):
+            for j, coef in row:
+                # bool is an int subclass, but True is not a column
+                if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+                    raise ValueError(f"row {i}: variable index {j!r} is not an integer")
+                if not 0 <= j < n:
+                    raise ValueError(f"row {i}: variable index {j} outside 0..{n - 1}")
+                if not math.isfinite(coef):
+                    raise ValueError(f"row {i}: coefficient for variable {j} must be finite")
+    return columns, coefs
 
 
 class _Tableau:
@@ -99,24 +125,29 @@ class _Tableau:
     because an artificial never enters: it is not at a bound while basic,
     and once it leaves it is gone. So its column would only be updated,
     never read. `values` holds the current value of each row's basic
-    variable; nonbasic variables sit at 0 or at their width `width[j]` as
-    recorded in `status`. `d` is the one price row: the phase-1 prices until
-    solve_lp replaces it with the phase-2 prices. Each pivot of step() updates
-    it; drive_out_artificials() leaves it stale, since nothing reads it before
-    solve_lp reprices.
+    variable. A nonbasic variable sits at 0 or at its width `width[j]`, a
+    list of Python floats read one entry at a time by the ratio test.
+    `sign[j]` is the direction variable j may enter in: +1 at 0 when its
+    width exceeds PIVOT_TOL, -1 at its width, and 0 when basic or fixed at
+    0, so column j prices in when d[j] * sign[j] > TOL. `d` is the one price
+    row: the phase-1 prices until solve_lp replaces it with the phase-2
+    prices. Each pivot of step() updates it; drive_out_artificials() leaves
+    it stale, since nothing reads it before solve_lp reprices.
+
+    step() and pivot() skip each update that would only subtract zeros. That
+    can leave a zero entry of T, d or values with the other sign than a
+    dense update would give it, and nothing more: no comparison reads the
+    sign of a zero, so the pivots are those of the dense updates.
     """
 
-    AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
-
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, columns: list, coefs: list):
         n = lp.num_vars
         lower = np.array(lp.lower, dtype=float)
         sizes = [len(row) for row in lp.rows]
         a = np.zeros((len(sizes), n))
-        at = (np.repeat(np.arange(len(sizes)), sizes),
-              np.array([j for row in lp.rows for j, _ in row], dtype=np.intp))
+        at = np.repeat(np.arange(len(sizes)), sizes), np.array(columns, dtype=np.intp)
         # add.at sums a repeated (row, column) entry in listing order, as += would
-        np.add.at(a, at, [coef for row in lp.rows for _, coef in row])
+        np.add.at(a, at, coefs)
         b = np.array(lp.rhs, dtype=float) - a @ lower
         live = np.max(np.abs(a), axis=1, initial=0.0) > PIVOT_TOL
         # a dropped row reads 0 = b, unsatisfiable when b is nonzero
@@ -127,8 +158,9 @@ class _Tableau:
 
         self.m, self.n = len(b), n
         self.T, self.values = a, b
-        self.width = np.array(lp.upper, dtype=float) - lower
-        self.status = np.full(n, self.AT_LOWER, dtype=np.int8)
+        width = np.array(lp.upper, dtype=float) - lower
+        self.width = width.tolist()
+        self.sign = (width > PIVOT_TOL).astype(float)  # everything starts at 0
         self.basis = list(range(n, n + self.m))
         # phase-1 prices: maximise -(sum of artificials) == sum of rows
         self.d = self.T.sum(axis=0)
@@ -136,33 +168,41 @@ class _Tableau:
         self.degenerate_run = 0
         self.bland = False
 
+    def lower_sign(self, j: int) -> float:
+        """sign[j] for variable j resting at 0."""
+        return 1.0 if self.width[j] > PIVOT_TOL else 0.0
+
     def entering(self) -> int | None:
-        up = (self.status == self.AT_LOWER) & (self.d > TOL) & (self.width > PIVOT_TOL)
-        down = (self.status == self.AT_UPPER) & (self.d < -TOL)
-        idx = np.nonzero(up | down)[0]
-        if idx.size == 0:
-            return None
-        if self.bland:
-            return int(idx[0])
-        return int(idx[np.argmax(np.abs(self.d[idx]))])
+        """The entering column, or None at an optimum.
+
+        A candidate's score is |d[j]| and every other score is at most TOL,
+        so argmax is Dantzig's largest |d[j]|, first on ties.
+        """
+        if not self.n:
+            return None  # argmax of an empty array raises
+        score = self.d * self.sign
+        j = int((score > TOL).argmax() if self.bland else score.argmax())
+        return j if score[j] > TOL else None
 
     def step(self, j: int) -> str | None:
         """One pivot or bound flip with entering variable j."""
-        sigma = 1.0 if self.status[j] == self.AT_LOWER else -1.0
-        w = sigma * self.T[:, j]
-        t, leave_row, leave_at_upper = self.width[j], -1, False
-        for i in np.nonzero(np.abs(w) > PIVOT_TOL)[0]:
-            wi = w[i]
+        sigma = float(self.sign[j])
+        col = self.T[:, j]
+        rows = (np.abs(col) > PIVOT_TOL).nonzero()[0]
+        basis, width, n = self.basis, self.width, self.n
+        t, leave_row, leave_at_upper = width[j], -1, False
+        for i, ci, vi in zip(rows.tolist(), col[rows].tolist(), self.values[rows].tolist()):
+            wi = sigma * ci
             if wi > 0:
-                ti, at_upper = self.values[i] / wi, False
+                ti, at_upper = vi / wi, False
             else:
-                b = self.basis[i]
-                if b >= self.n or math.isinf(self.width[b]):
+                b = basis[i]
+                if b >= n or math.isinf(width[b]):
                     continue  # no upper bound to hit: an artificial, or upper = inf
-                ti, at_upper = (self.width[b] - self.values[i]) / -wi, True
+                ti, at_upper = (width[b] - vi) / -wi, True
             # ties within PIVOT_TOL go to the lower-numbered basic variable
             if ti < t - PIVOT_TOL or (ti < t + PIVOT_TOL and leave_row >= 0
-                                      and self.basis[i] < self.basis[leave_row]):
+                                      and basis[i] < basis[leave_row]):
                 t, leave_row, leave_at_upper = max(ti, 0.0), i, at_upper
 
         if math.isinf(t):
@@ -175,33 +215,34 @@ class _Tableau:
         else:
             self.degenerate_run = 0
 
-        self.values -= t * w
+        if t:
+            self.values -= (sigma * t) * col
         if leave_row < 0:
             # bound flip, basis unchanged
-            self.status[j] = self.AT_UPPER if sigma > 0 else self.AT_LOWER
+            self.sign[j] = -1.0 if sigma > 0 else self.lower_sign(j)
             return None
 
         old = self.pivot(leave_row, j)
         self.d -= self.d[j] * self.T[leave_row]
-        self.values[leave_row] = (0.0 if sigma > 0 else self.width[j]) + sigma * t
-        if old < self.n:
-            self.status[old] = self.AT_UPPER if leave_at_upper else self.AT_LOWER
+        self.values[leave_row] = (0.0 if sigma > 0 else width[j]) + sigma * t
+        if old < n:
+            self.sign[old] = -1.0 if leave_at_upper else self.lower_sign(old)
         return None
 
     def pivot(self, r: int, j: int) -> int:
         """Make j basic in row r and return the variable that left.
 
-        Only the rows with a nonzero in column j change: every other row
-        would only have zeros subtracted from it.
+        Only the rows with a nonzero in column j change, and in them only the
+        columns where row r is nonzero: anywhere else a zero is subtracted.
         """
         row = self.T[r]
         row /= row[j]
-        col = self.T[:, j]
-        rows = col.nonzero()[0]
-        rows = rows[rows != r]
-        self.T[rows] -= col[rows, None] * row
+        col = self.T[:, j].copy()
+        col[r] = 0.0
+        rows, cols = col.nonzero()[0], row.nonzero()[0]
+        self.T[rows[:, None], cols] -= col[rows, None] * row[cols]
         old, self.basis[r] = self.basis[r], j
-        self.status[j] = self.BASIC
+        self.sign[j] = 0.0
         return old
 
     def drive_out_artificials(self) -> None:
@@ -211,9 +252,9 @@ class _Tableau:
             if self.basis[i] < self.n:
                 keep.append(i)
                 continue
-            j = int(np.argmax(np.abs(self.T[i])))
+            j = int(np.abs(self.T[i]).argmax())
             if abs(self.T[i, j]) > PIVOT_TOL:
-                value = self.width[j] if self.status[j] == self.AT_UPPER else 0.0
+                value = self.width[j] if self.sign[j] < 0 else 0.0
                 self.pivot(i, j)
                 self.values[i] = value
                 keep.append(i)
@@ -230,8 +271,7 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
 
     Deterministic: identical inputs produce identical outputs bit for bit.
     """
-    check_structure(lp)
-    tab = _Tableau(lp)
+    tab = _Tableau(lp, *_checked_entries(lp))
     if tab.status_flag == INFEASIBLE:
         return LpSolution(INFEASIBLE, None, None, 0)
     cap = 2000 + 200 * (tab.n + tab.m) if max_iterations is None else max_iterations
@@ -249,16 +289,14 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
                     raise RuntimeError("phase-1 step reported unbounded")
                 return LpSolution(UNBOUNDED, None, None, tab.iterations)
         if phase == 1:
-            residual = sum(tab.values[i] for i in range(tab.m) if tab.basis[i] >= tab.n)
+            residual = sum(v for v, b in zip(tab.values.tolist(), tab.basis) if b >= tab.n)
             if residual > TOL * max(1.0, float(np.max(np.abs(tab.values), initial=0.0))):
                 return LpSolution(INFEASIBLE, None, None, tab.iterations)
             tab.drive_out_artificials()
             tab.d = c - c[tab.basis] @ tab.T  # every basic column is structural now
 
-    x = np.zeros(tab.n)
-    at_upper = tab.status == _Tableau.AT_UPPER
-    x[at_upper] = tab.width[at_upper]
+    x = np.where(tab.sign < 0, tab.width, 0.0)
     x[tab.basis] = tab.values
     x += np.array(lp.lower)
     objective = float(np.dot(c, x))
-    return LpSolution(OPTIMAL, objective, tuple(float(v) for v in x), tab.iterations)
+    return LpSolution(OPTIMAL, objective, tuple(x.tolist()), tab.iterations)

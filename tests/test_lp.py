@@ -8,6 +8,7 @@ the rational side. Agreement on random programs is therefore meaningful.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from plantflow.lp import (
@@ -21,6 +22,7 @@ from plantflow.lp import (
 from lp_exact import solve_lp_exact
 
 INF = math.inf
+NAN = math.nan
 
 
 def lp(obj, rows, rhs, lower, upper):
@@ -54,6 +56,13 @@ def test_equality_infeasible():
     # x = 2 but x <= 1
     p = lp([1.0], [((0, 1.0),)], [2.0], [0.0], [1.0])
     assert solve_lp(p).status == INFEASIBLE
+
+
+def test_program_without_variables():
+    # nothing to price; an empty row is satisfiable only with rhs 0
+    assert solve_lp(lp([], [], [], [], [])).x == ()
+    assert solve_lp(lp([], [()], [0.0], [], [])).status == OPTIMAL
+    assert solve_lp(lp([], [()], [1.0], [], [])).status == INFEASIBLE
 
 
 def test_unbounded_direction():
@@ -111,22 +120,52 @@ def test_solution_respects_rows_and_bounds():
         assert lo - 1e-9 <= x[j] <= hi + 1e-9
 
 
-def test_check_structure_rejects_length_mismatch():
-    p = lp([1.0, 1.0], [], [], [0.0], [1.0])
-    with pytest.raises(ValueError):
-        check_structure(p)
+@pytest.mark.parametrize("program, message", [
+    pytest.param(lp([1.0, 1.0], [], [], [0.0], [1.0]),
+                 r"^bounds length mismatch: 1/1 vs 2 variables$", id="bounds-length"),
+    pytest.param(lp([1.0], [((0, 1.0),)], [], [0.0], [1.0]),
+                 r"^1 rows but 0 rhs entries$", id="rhs-length"),
+    pytest.param(lp([1.0, 1.0], [], [], [0.0, -0.5], [1.0, 1.0]),
+                 r"^variable 1: lower bound -0\.5 is negative$", id="negative-lower"),
+    pytest.param(lp([1.0], [], [], [2.0], [1.0]),
+                 r"^variable 0: upper bound 1\.0 below lower bound 2\.0$", id="upper-below-lower"),
+    pytest.param(lp([1.0], [], [], [INF], [INF]),
+                 r"^variable 0: lower bound must be finite$", id="infinite-lower"),
+    pytest.param(lp([1.0], [], [], [NAN], [1.0]),
+                 r"^variable 0: lower bound must be finite$", id="nan-lower"),
+    # 0 <= x <= NaN used to fix x at 0, yet the bound was ignored once x was
+    # tied to another column: this program solved to 10 with x0 = 5
+    pytest.param(lp([1.0, 1.0], [((0, 1.0), (1, -1.0))], [0.0], [0.0, 0.0], [NAN, 5.0]),
+                 r"^variable 0: upper bound is NaN$", id="nan-upper"),
+    pytest.param(lp([1.0, NAN], [], [], [0.0, 0.0], [1.0, 1.0]),
+                 r"^objective coefficients must be finite$", id="nan-objective"),
+    pytest.param(lp([1.0], [((0, 1.0),)], [INF], [0.0], [1.0]),
+                 r"^rhs entries must be finite$", id="infinite-rhs"),
+    # a float index used to pass the range test and be truncated to column 0
+    pytest.param(lp([1.0, 1.0], [((0, 1.0),), ((0.5, 1.0),)], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]),
+                 r"^row 1: variable index 0\.5 is not an integer$", id="float-column"),
+    pytest.param(lp([1.0, 1.0], [((0, 1.0), (True, 1.0))], [0.0], [0.0, 0.0], [1.0, 1.0]),
+                 r"^row 0: variable index True is not an integer$", id="bool-column"),
+    pytest.param(lp([1.0], [((3, 1.0),)], [0.0], [0.0], [1.0]),
+                 r"^row 0: variable index 3 outside 0\.\.0$", id="out-of-range-column"),
+    pytest.param(lp([1.0, 1.0], [((0, 1.0),), ((-1, 1.0),)], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]),
+                 r"^row 1: variable index -1 outside 0\.\.1$", id="negative-column"),
+    # the all-entries test fails; the per-entry loop must name the later row
+    pytest.param(lp([1.0, 1.0, 1.0], [((0, 1.0), (1, 2.0)), ((1, 1.0),), ((2, 1.0), (1, NAN))],
+                    [0.0, 0.0, 0.0], [0.0] * 3, [1.0] * 3),
+                 r"^row 2: coefficient for variable 1 must be finite$", id="nan-coefficient-later-row"),
+])
+def test_check_structure_rejects(program, message):
+    for check in (check_structure, solve_lp):
+        with pytest.raises(ValueError, match=message):
+            check(program)
 
 
-def test_check_structure_rejects_bad_bounds():
-    p = lp([1.0], [], [], [2.0], [1.0])
-    with pytest.raises(ValueError):
-        check_structure(p)
-
-
-def test_check_structure_rejects_out_of_range_column():
-    p = lp([1.0], [((3, 1.0),)], [0.0], [0.0], [1.0])
-    with pytest.raises(ValueError):
-        check_structure(p)
+def test_check_structure_accepts_numpy_integer_columns():
+    # not ints by type, so the all-entries test fails, but the loop finds no fault
+    p = lp([0.0, 1.0], [((np.int64(0), 1.0), (np.intp(1), -1.0))], [0.0], [0.0, 0.0], [1.0, 2.0])
+    check_structure(p)
+    assert solve_lp(p).objective_value == 1.0
 
 
 def test_iteration_cap_raises():
