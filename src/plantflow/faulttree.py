@@ -1,27 +1,25 @@
 """Static fault-tree analysis, the classical baseline to compare against.
 
-Gates work in the failure domain: an OR gate fails when any child fails, an
-AND gate when all children fail, and a k-of-n:F gate when at least k of its
-n children fail. Basic events are component RVs referenced by id, with
-state 0 meaning failed, matching the rest of the package.
+Gates work in the failure domain, and there is one rule: a gate fails when
+at least k of its n children fail. OR is 1-of-n, AND is n-of-n, and
+k-of-n:F is the general case. Basic events are component RVs referenced by
+id, with state 0 meaning failed, matching the rest of the package.
 
 Exact probabilities assume the tree references each RV at most once (so
-subtrees are independent); that is checked, not assumed silently. The
-k-of-n gate handles heterogeneous child probabilities by dynamic
-programming over the failure-count distribution.
+subtrees are independent); that is checked, not assumed silently. Every
+gate's probability is the tail of its failure-count distribution, built by
+dynamic programming over heterogeneous child probabilities. No complement
+is taken, so rare events keep their size.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .datasets import didactic
 from .errors import PlantDataError
-
-OR = "or"
-AND = "and"
-K_OF_N = "kofn"
 
 
 @dataclass(frozen=True)
@@ -31,9 +29,9 @@ class BasicEvent:
 
 @dataclass(frozen=True)
 class Gate:
-    kind: str
+    """Fails when at least k of the children fail."""
     children: tuple["Node", ...]
-    k: int | None = None
+    k: int
 
 
 Node = Union[BasicEvent, Gate]
@@ -49,19 +47,22 @@ def _wrap(children: tuple[Node | str, ...]) -> tuple[Node, ...]:
 
 
 def or_gate(*children: Node | str) -> Gate:
-    return Gate(OR, _wrap(children))
+    return k_of_n(1, *children)
 
 
 def and_gate(*children: Node | str) -> Gate:
-    return Gate(AND, _wrap(children))
+    return k_of_n(len(children), *children)
 
 
 def k_of_n(k: int, *children: Node | str) -> Gate:
     """Fails when at least k of the children fail."""
     wrapped = _wrap(children)
+    # bool is an Integral, but True is no count
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise PlantDataError(f"k={k!r} is not an integer")
     if not 1 <= k <= len(wrapped):
         raise PlantDataError(f"k={k} outside 1..{len(wrapped)}")
-    return Gate(K_OF_N, wrapped, k=k)
+    return Gate(wrapped, int(k))
 
 
 def event_ids(node: Node) -> tuple[str, ...]:
@@ -87,15 +88,13 @@ def evaluate_failure(node: Node, states: Mapping[str, int]) -> bool:
     """True when the tree's top event occurs for the given 0/1 states."""
     if isinstance(node, BasicEvent):
         try:
-            return states[node.rv_id] == 0
+            state = states[node.rv_id]
         except KeyError:
             raise PlantDataError(f"no state for rv {node.rv_id!r}") from None
-    hits = sum(1 for c in node.children if evaluate_failure(c, states))
-    if node.kind == OR:
-        return hits > 0
-    if node.kind == AND:
-        return hits == len(node.children)
-    return hits >= node.k
+        if state not in (0, 1):
+            raise PlantDataError(f"rv {node.rv_id} has non-binary state {state!r}")
+        return state == 0
+    return sum(1 for c in node.children if evaluate_failure(c, states)) >= node.k
 
 
 def failure_probability(node: Node, p_fail: Mapping[str, float]) -> float:
@@ -113,26 +112,20 @@ def _prob(node: Node, p_fail: Mapping[str, float]) -> float:
         if not 0.0 <= q <= 1.0:
             raise PlantDataError(f"rv {node.rv_id!r} probability {q} outside [0, 1]")
         return q
-    qs = [_prob(c, p_fail) for c in node.children]
-    if node.kind == OR:
-        survive = 1.0
-        for q in qs:
-            survive *= 1.0 - q
-        return 1.0 - survive
-    if node.kind == AND:
-        fail = 1.0
-        for q in qs:
-            fail *= q
-        return fail
     # failure-count distribution, one convolution step per child
     dist = [1.0]
-    for q in qs:
+    for q in (_prob(c, p_fail) for c in node.children):
         nxt = [0.0] * (len(dist) + 1)
         for j, w in enumerate(dist):
             nxt[j] += w * (1.0 - q)
             nxt[j + 1] += w * q
         dist = nxt
-    return sum(dist[node.k:])
+    # summed left to right: sum() compensates from Python 3.12 on, which
+    # would make the last bit depend on the interpreter
+    tail = 0.0
+    for w in dist[node.k:]:
+        tail += w
+    return tail
 
 
 def didactic_fault_tree() -> Gate:

@@ -231,7 +231,7 @@ def test_faulttree_json(capsys):
     code, out, _ = run(capsys, "faulttree", "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["failure_probability"] == pytest.approx(0.1435382379075535)
+    assert doc["failure_probability"] == 0.14353823790755327
     states = [(row["fault_tree"], row["flow_function"])
               for row in doc["contrast"]]
     assert states == [("survive", "survive"), ("survive", "fail")]

@@ -4,9 +4,12 @@ contrast with the flow view on the two storage scenarios.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plantflow import datasets
 from plantflow.errors import PlantDataError
@@ -82,6 +85,68 @@ def test_k_bounds_validated():
         k_of_n(3, "a", "b")
 
 
+def test_k_must_be_an_integer():
+    for k in (1.5, "2", True, None):
+        with pytest.raises(PlantDataError, match=rf"k={k!r} is not an integer"):
+            k_of_n(k, "a", "b")
+    assert k_of_n(np.int64(2), "a", "b").k == 2
+
+
+def test_non_binary_state_rejected():
+    for state in (2, -1, None):
+        with pytest.raises(PlantDataError, match=rf"rv a has non-binary state {state!r}"):
+            evaluate_failure(or_gate("a", "b"), {"a": state, "b": 1})
+
+
+def test_or_gate_keeps_rare_events():
+    assert failure_probability(or_gate("x", "y"), {"x": 1e-20, "y": 1e-20}) == 2e-20
+    tree = or_gate(and_gate("x", "y"), "z")
+    p = failure_probability(tree, {"x": 1e-10, "y": 1e-10, "z": 1e-20})
+    assert p == pytest.approx(2e-20, rel=1e-12)
+
+
+# 0, and 1e-30 up to 1: ten such factors stay clear of float underflow
+PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.floats(1e-30, 1.0),
+    st.floats(-30.0, 0.0).map(lambda e: 10.0**e),
+)
+
+
+@st.composite
+def fault_trees(draw, ids=None, depth=0):
+    """A tree over at most 10 distinct events mixing OR, AND and k-of-n."""
+    if ids is None:
+        ids = [f"e{i}" for i in range(draw(st.integers(1, 10)))]
+    if len(ids) == 1 and depth > 0 and (depth >= 3 or draw(st.booleans())):
+        return ids[0]
+    cuts = sorted(draw(st.sets(st.integers(1, len(ids) - 1), min_size=1))) if len(ids) > 1 else []
+    children = [draw(fault_trees(ids[a:b], depth + 1))
+                for a, b in zip([0, *cuts], [*cuts, len(ids)])]
+    gate = draw(st.sampled_from(["or", "and", "kofn"]))
+    if gate == "or":
+        return or_gate(*children)
+    if gate == "and":
+        return and_gate(*children)
+    return k_of_n(draw(st.integers(1, len(children))), *children)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_failure_probability_matches_state_enumeration(data):
+    tree = data.draw(fault_trees())
+    ids = event_ids(tree)
+    probs = {i: data.draw(PROBABILITIES, label=i) for i in ids}
+    q = [Fraction(probs[i]) for i in ids]
+    # exact weight of every 0/1 state vector, summed over the failing ones
+    exact = Fraction(0)
+    for states in itertools.product((0, 1), repeat=len(ids)):
+        if evaluate_failure(tree, dict(zip(ids, states))):
+            exact += math.prod(qi if s == 0 else 1 - qi for qi, s in zip(q, states))
+    got = failure_probability(tree, probs)
+    assert abs(Fraction(got) - exact) <= exact / 10**12
+
+
 def test_missing_probability_rejected():
     with pytest.raises(PlantDataError, match="b"):
         failure_probability(or_gate("a", "b"), {"a": 0.1})
@@ -129,7 +194,7 @@ def test_didactic_tree_exact_value_from_hand_formula():
     got = failure_probability(tree, {i: p for i in event_ids(tree)})
     assert got == pytest.approx(expect, abs=1e-15)
     # frozen regression value
-    assert got == pytest.approx(0.1435382379075535, abs=1e-12)
+    assert got == 0.14353823790755327
 
 
 def test_didactic_tree_matches_monte_carlo():
