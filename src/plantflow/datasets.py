@@ -359,12 +359,17 @@ def parse_text(text: str) -> NetworkDocument:
 
     stage_nodes: dict[int, list[int]] = {m: [] for m in range(1, num_stages + 1)}
     node_capacity: dict[int, float] = {}
+    entry_of: dict[int, int] = {}  # node id -> index of its entry
     for i, item in enumerate(node_items):
         r = _Reader(item, f"nodes[{i}]")
         node = r.take("id", int)
         stage = r.take("stage", int, required=False)
         cap = r.take("capacity", float, required=False)
         r.close()
+        if not 1 <= node <= num_nodes:
+            raise DataFormatError(f"nodes[{i}].id: {node} outside 1..{num_nodes}")
+        if entry_of.setdefault(node, i) != i:
+            raise DataFormatError(f"nodes[{i}].id: node {node} already listed at nodes[{entry_of[node]}]")
         if stage is not None:
             if not 1 <= stage <= num_stages:
                 raise DataFormatError(

@@ -31,8 +31,9 @@ open vector with none of its RVs counted (failed in a path set, up in a cut
 set), then the first vector left open is solved and its new set takes its
 turn, so only what no set decides is solved, in sample order. Importance
 counts those RVs per set and vector instead, since a count of 0 or 1 also
-decides single-component flips. The brute-force "direct" method evaluates
-every vector and is the reference.
+decides single-component flips. The brute-force "direct" method is the
+reference: each sample and each of its single-component flips, every one
+solved, nothing learned.
 
 Survival compares exact integers (the max-flow backend scales every
 capacity to a whole number of 2**-k units), so the learned sets are sound on
@@ -262,20 +263,17 @@ def _importance_counts(net, model, query, method: str,
     known = _Store(net, model, query)
     plus, minus = np.zeros((2, len(model)), dtype=np.int64)
     for down in _iter_samples(model, query.seed, lo, hi):
-        if method == DIRECT_METHOD:
-            for states in ~down:
-                for j in range(len(model)):
-                    for state, counts in ((True, plus), (False, minus)):
-                        row = states.copy()
-                        row[j] = state
-                        counts[j] += known.sf.evaluate(row)
-            continue
-
+        if method == DIRECT_METHOD:  # each sample, then each of its single-component flips
+            flip = np.eye(len(model), dtype=bool)
+            solved = np.array([[known.sf.evaluate(s) for s in np.vstack([~row, ~row ^ flip])]
+                               for row in down], dtype=bool)
+            up, flipped = solved[:, 0], solved[:, 1:]
+        else:
+            up = known.settle(down)
+            flipped = known.flips(down, up)
         # of the two arms of a (sample, component), one is the sample itself
-        up = known.settle(down)
-        flipped, up = known.flips(down, up), up[:, None]
-        plus += np.where(down, flipped, up).sum(axis=0)
-        minus += np.where(down, up, flipped).sum(axis=0)
+        plus += np.where(down, flipped, up[:, None]).sum(axis=0)
+        minus += np.where(down, up[:, None], flipped).sum(axis=0)
     return plus, minus
 
 
@@ -290,16 +288,15 @@ def birnbaum_importance(
 
     method "margins" (default) settles each sample and then each of its
     single-component flips through monotonicity and the learned cut sets
-    and path sets, solving only the rest; "direct" evaluates both arms for
-    every component and sample. Both give bit-identical reports; direct is
-    the slow reference.
+    and path sets, solving only the rest; "direct" takes each sample and
+    each of its single-component flips, every one solved, nothing learned.
+    Both give bit-identical reports; direct is the slow reference.
     """
     if method not in (MARGINS_METHOD, DIRECT_METHOD):
         raise PlantDataError(f"unknown importance method {method!r}")
-    plus, minus = np.sum(_run(_importance_counts, net, model, query, workers, method), axis=0)
-
     n = query.samples
-    p_plus, p_minus = plus / n, minus / n
+    p_plus, p_minus = np.sum(_run(_importance_counts, net, model, query, workers, method),
+                             axis=0) / n
     se = np.sqrt(p_plus * (1 - p_plus) / n + p_minus * (1 - p_minus) / n)
     return ImportanceReport(query=query, entries=tuple(
         ImportanceEntry(rv.rv_id, float(p_plus[j] - p_minus[j]), float(se[j]))
@@ -312,16 +309,13 @@ def rank_components(
     smallest: bool = False,
 ) -> RankedComponents:
     """Order entries by importance; ties keep component-model order."""
-    order = sorted(
-        range(len(report.entries)),
-        key=lambda j: (report.entries[j].importance if smallest
-                       else -report.entries[j].importance, j),
-    )
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
-    chosen = order if limit is None else order[:limit]
+    if limit is not None:
+        if not isinstance(limit, numbers.Integral) or isinstance(limit, bool):
+            raise ValueError(f"limit must be an integer, got {limit!r}")
+        if limit < 0:
+            raise ValueError(f"limit must be nonnegative, got {limit}")
+    entries, sign = report.entries, 1 if smallest else -1
+    order = sorted(range(len(entries)), key=lambda j: (sign * entries[j].importance, j))
     # flagged when the request asked for more components than exist
-    return RankedComponents(
-        entries=tuple(report.entries[j] for j in chosen),
-        truncated=limit is not None and limit > len(report.entries),
-    )
+    return RankedComponents(entries=tuple(entries[j] for j in order[:limit]),
+                            truncated=limit is not None and limit > len(entries))

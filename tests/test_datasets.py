@@ -195,6 +195,8 @@ def _didactic_json() -> dict:
                  id="unknown-field"),
     pytest.param(("nodes", 0, "stage"), 5, r"nodes\[0\]\.stage: 5 outside 1\.\.4",
                  id="stage-out-of-range"),
+    pytest.param(("nodes", 0), {"id": 999}, r"nodes\[0\]\.id: 999 outside 1\.\.14",
+                 id="node-out-of-range"),
     pytest.param(("components", 0, "assets"), [1.5],
                  r"components\[0\]\.assets\[0\]: expected a node index or edge id", id="asset-type"),
     pytest.param(("defaults", "mode"), "edge-avg", r"defaults\.mode: unknown mode 'edge-avg'",
@@ -208,6 +210,18 @@ def test_parse_refusal_names_the_field(path, value, message):
         item = item[key]
     item[last] = value
     with pytest.raises(DataFormatError, match=message):
+        datasets.parse_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("repeat", [{"id": 1, "capacity": 7.0}, {"id": 1, "stage": 1}],
+                         ids=["capacity", "station"])
+def test_parse_refuses_a_repeated_node_entry(repeat):
+    # a later capacity entry silently won, and a repeated station was named a
+    # station of "stages 1 and 1"
+    doc = _didactic_json()
+    assert doc["nodes"][0] == {"id": 1, "stage": 1, "capacity": 0.5}
+    doc["nodes"].append(repeat)
+    with pytest.raises(DataFormatError, match=r"^nodes\[8\]\.id: node 1 already listed at nodes\[0\]$"):
         datasets.parse_text(json.dumps(doc))
 
 

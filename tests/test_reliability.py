@@ -425,6 +425,11 @@ def test_ranking_refuses_a_negative_limit_and_importance_an_unknown_method():
     rep = birnbaum_importance(doc.network, doc.model, q)
     with pytest.raises(ValueError, match="limit must be nonnegative, got -1"):
         rank_components(rep, limit=-1)
+    # the integer rule of the query: a bool is no count
+    for limit in (True, False, 2.5, "2"):
+        with pytest.raises(ValueError, match=f"limit must be an integer, got {limit!r}"):
+            rank_components(rep, limit=limit)
+    assert len(rank_components(rep, limit=np.int64(2)).entries) == 2
 
 
 @pytest.mark.parametrize("p_fail", [1.5, -0.1, math.nan])
@@ -497,7 +502,7 @@ def test_margins_shortcut_equals_direct_evaluation():
             assert x.std_error == y.std_error
 
 
-def test_direct_method_evaluates_both_arms_and_learns_nothing(monkeypatch):
+def test_direct_method_solves_each_sample_and_flip_once_and_learns_nothing(monkeypatch):
     doc = datasets.builtin("didactic")
     calls = []
     real = SystemFunction.evaluate
@@ -516,7 +521,31 @@ def test_direct_method_evaluates_both_arms_and_learns_nothing(monkeypatch):
         monkeypatch.setattr(reliability._Store, entry, refused)
     q = ReliabilityQuery(target_flow=1.0, samples=30, seed=2)
     birnbaum_importance(doc.network, doc.model, q, method=DIRECT_METHOD)
-    assert len(calls) == 2 * len(doc.model) * q.samples
+    # each sample once, and each of its single-component flips once
+    assert len(calls) == (len(doc.model) + 1) * q.samples
+
+
+# edge-min caps the didactic plant at 0.5, so 1.0 would fail every sample
+@pytest.mark.parametrize("mode, target", [(STATION_THROUGHPUT, 1.0), (EDGE_MIN, 0.5)])
+def test_both_methods_count_the_arms_like_a_row_by_row_oracle(mode, target):
+    # both methods share one count of the arms, so it is checked against its own
+    # brute force: for each sample, copy the row, set component j up, then down
+    doc = datasets.builtin("didactic")
+    q = ReliabilityQuery(target_flow=target, mode=mode, samples=30, seed=5)
+    fn = compile_system(doc.network, doc.model, q.target_flow, mode=mode)
+    plus, minus = np.zeros((2, len(doc.model)), dtype=np.int64)
+    for i in range(q.samples):
+        states = sample_states(doc.model, q.seed, i) == 1.0
+        for j in range(len(doc.model)):
+            for state, counts in ((True, plus), (False, minus)):
+                row = states.copy()
+                row[j] = state
+                counts[j] += fn.evaluate(row)
+    expected = plus / q.samples - minus / q.samples
+    assert np.all(minus <= plus) and np.count_nonzero(expected) > 0
+    for method in (MARGINS_METHOD, DIRECT_METHOD):
+        rep = birnbaum_importance(doc.network, doc.model, q, method=method)
+        assert [e.importance for e in rep.entries] == expected.tolist()
 
 
 def test_importance_worker_identity(monkeypatch):
