@@ -32,7 +32,7 @@ import numpy as np
 
 from . import dinic
 from .errors import PlantDataError
-from .lp import OPTIMAL, LinearProgram, solve_lp
+from .lp import OPTIMAL, LinearProgram, compile_rows, solve_lp
 from .model import (
     EDGE_MIN,
     STATION_THROUGHPUT,
@@ -81,12 +81,12 @@ def build_flow_lp(net: PlantNetwork, caps: EffectiveCapacities) -> LinearProgram
     stage order (the layered graph's arcs, in LayeredGraph.refs order), then
     u, the objective. Edge columns are bounded by edge_cap and station
     columns by station_cap, which is math.inf in the modes that fold node
-    limits into the edge bounds. Only those bounds depend on caps; the rest
-    is compiled once per network, in the memo build_layered_graph keeps
-    there.
+    limits into the edge bounds. Only those bounds depend on caps; the rest,
+    with the tableau rows solve_lp builds from it (lp.compile_rows), is
+    compiled once per network, in the memo build_layered_graph keeps there.
     """
     if (skeleton := net._compiled.get(LP_BACKEND)) is None:
-        skeleton = net._compiled[LP_BACKEND] = _lp_skeleton(net)
+        skeleton = net._compiled[LP_BACKEND] = compile_rows(_lp_skeleton(net))
     upper = [caps.edge_cap[e.edge_id] for e in net.edges]
     upper += [caps.station_cap[s] for s in net.station_stage]
     return replace(skeleton, upper=(*upper, math.inf))

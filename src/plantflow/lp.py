@@ -9,14 +9,20 @@ rest at either bound). The tableau is a numpy array over the structural
 columns only: phase 1 starts every row on an artificial that has no column,
 since an artificial never re-enters. A pivot touches only the entries whose
 row is nonzero in the entering column and whose column is nonzero in the
-pivot row. One price row serves both phases: the row sums in phase 1, then
-c - c_B T, priced once the artificials are out. Each column carries a sign,
-the direction it may move in: +1 at its lower bound, -1 at its upper bound,
-0 when basic or fixed. So pricing is one product of prices and signs and one
-argmax, with Dantzig's rule, switched for good to Bland's after a run of
-degenerate pivots, which guarantees termination. The ratio test reads only
-the rows above the pivot tolerance, which on the plant programs here is a
-few rows in a hundred, and runs over them as Python floats: at that size a
+pivot row. Everything in the starting tableau but the upper bounds is
+compiled once per program's rows (compile_rows), and each solve copies it:
+the flow programs of one plant share their rows and differ only in upper.
+One feasibility test on the artificials both ends phase 1, as soon as it
+passes, and decides infeasibility at a phase-1 optimum; a program whose rhs
+is already met at the lower bounds, as every flow program's is, makes no
+phase-1 pivot. One price row serves both phases: the row sums in phase 1,
+then c - c_B T, priced once the artificials are out. Each column carries a
+sign, the direction it may move in: +1 at its lower bound, -1 at its upper
+bound, 0 when basic or fixed. So pricing is one product of prices and signs
+and one argmax, with Dantzig's rule, switched for good to Bland's after a
+run of degenerate pivots, which guarantees termination. The ratio test reads
+only the rows above the pivot tolerance, which on the plant programs here is
+a few rows in a hundred, and runs over them as Python floats: at that size a
 numpy call costs more than the arithmetic it does. There is no external
 solver dependency; problem sizes here are a few hundred variables at most.
 """
@@ -24,8 +30,9 @@ solver dependency; problem sizes here are a few hundred variables at most.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,7 +51,8 @@ class LinearProgram:
     rows holds one sparse equality per entry, as ((var_index, coefficient),
     ...); rhs pairs with rows. lower must be nonnegative and upper may be
     math.inf. A zero-coefficient row with zero rhs is dropped in presolve;
-    with nonzero rhs it makes the program infeasible.
+    with nonzero rhs it makes the program infeasible. compiled holds the
+    rows that compile_rows built; a program without them builds its own.
     """
 
     objective: tuple[float, ...]
@@ -52,6 +60,7 @@ class LinearProgram:
     rhs: tuple[float, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
+    compiled: _Rows | None = field(default=None, compare=False, repr=False)
 
     @property
     def num_vars(self) -> int:
@@ -68,80 +77,87 @@ class LpSolution:
 
 def check_structure(lp: LinearProgram) -> None:
     """Raise ValueError on malformed input; cheap and done before solving."""
-    _checked_entries(lp)
+    _checked_rows(lp)
 
 
-def _checked_entries(lp: LinearProgram) -> tuple[list, list]:
-    """check_structure's tests; returns the rows' column indices and
-    coefficients in listing order, which the tableau is built from.
+def compile_rows(lp: LinearProgram) -> LinearProgram:
+    """lp carrying its compiled rows, checked and built once.
 
-    Each rule is tested over all entries at once, by builtins that loop in C;
-    only when one fails does a per-entry loop run, to name the first offender.
+    A program made from it by replace() with only a new upper solves without
+    checking or building them again; one with any other field replaced
+    builds its own.
+    """
+    return replace(lp, compiled=_Rows(lp))
+
+
+def _checked_rows(lp: LinearProgram) -> _Rows:
+    """check_structure's tests, and lp's compiled rows.
+
+    The rows lp carries count only while they were built from its very
+    objective, rows, rhs and lower; otherwise they are built, and checked,
+    here. Either way upper is checked last, since only upper changes from
+    one scenario to the next.
     """
     n = lp.num_vars
     if not (len(lp.lower) == len(lp.upper) == n):
         raise ValueError(
             f"bounds length mismatch: {len(lp.lower)}/{len(lp.upper)} vs {n} variables")
-    if len(lp.rows) != len(lp.rhs):
-        raise ValueError(f"{len(lp.rows)} rows but {len(lp.rhs)} rhs entries")
-    # every comparison with NaN is false, so a NaN upper bound fails the last test
-    if not (all(map(math.isfinite, lp.lower)) and min(lp.lower, default=0.0) >= 0
-            and all(map(operator.ge, lp.upper, lp.lower))):
+    rows = lp.compiled
+    if rows is None or not rows.built_from(lp):
+        rows = _Rows(lp)
+    # every comparison with NaN is false, so a NaN upper bound fails this test
+    if not all(map(operator.ge, lp.upper, lp.lower)):
         for j, (lo, hi) in enumerate(zip(lp.lower, lp.upper)):
-            if lo < 0:
-                raise ValueError(f"variable {j}: lower bound {lo} is negative")
             if hi < lo:
                 raise ValueError(f"variable {j}: upper bound {hi} below lower bound {lo}")
-            if not math.isfinite(lo):
-                raise ValueError(f"variable {j}: lower bound must be finite")
             if math.isnan(hi):
                 raise ValueError(f"variable {j}: upper bound is NaN")
-    if not all(map(math.isfinite, lp.objective)):
-        raise ValueError("objective coefficients must be finite")
-    if not all(map(math.isfinite, lp.rhs)):
-        raise ValueError("rhs entries must be finite")
-    columns = [j for row in lp.rows for j, _ in row]
-    coefs = [coef for row in lp.rows for _, coef in row]
-    if not (set(map(type, columns)) <= {int} and min(columns, default=0) >= 0
-            and max(columns, default=-1) < n and all(map(math.isfinite, coefs))):
-        for i, row in enumerate(lp.rows):
-            for j, coef in row:
-                # bool is an int subclass, but True is not a column
-                if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
-                    raise ValueError(f"row {i}: variable index {j!r} is not an integer")
-                if not 0 <= j < n:
-                    raise ValueError(f"row {i}: variable index {j} outside 0..{n - 1}")
-                if not math.isfinite(coef):
-                    raise ValueError(f"row {i}: coefficient for variable {j} must be finite")
-    return columns, coefs
+    return rows
 
 
-class _Tableau:
-    """Bounded-variable simplex state.
+class _Rows:
+    """The part of a program's tableau that its upper bounds do not touch.
 
-    `T` holds one row per surviving constraint over the structural columns
-    0..n-1 only, shifted so lower bounds are 0. Row i starts with its own
-    artificial basic, numbered n + i in `basis`; no artificial has a column,
-    because an artificial never enters: it is not at a bound while basic,
-    and once it leaves it is gone. So its column would only be updated,
-    never read. `values` holds the current value of each row's basic
-    variable. A nonbasic variable sits at 0 or at its width `width[j]`, a
-    list of Python floats read one entry at a time by the ratio test.
-    `sign[j]` is the direction variable j may enter in: +1 at 0 when its
-    width exceeds PIVOT_TOL, -1 at its width, and 0 when basic or fixed at
-    0, so column j prices in when d[j] * sign[j] > TOL. `d` is the one price
-    row: the phase-1 prices until solve_lp replaces it with the phase-2
-    prices. Each pivot of step() updates it; drive_out_artificials() leaves
-    it stale, since nothing reads it before solve_lp reprices.
+    It holds the rows as a dense matrix shifted so lower bounds are 0, with
+    the rows that read 0 = 0 dropped and the rows with negative rhs negated,
+    their rhs, the phase-1 prices, and the lower bounds and objective as
+    arrays. The arrays are read-only; each solve works on copies.
 
-    step() and pivot() skip each update that would only subtract zeros. That
-    can leave a zero entry of T, d or values with the other sign than a
-    dense update would give it, and nothing more: no comparison reads the
-    sign of a zero, so the pivots are those of the dense updates.
+    Each rule is tested over all entries at once, by builtins that loop in C;
+    only when one fails does a per-entry loop run, to name the first offender.
     """
 
-    def __init__(self, lp: LinearProgram, columns: list, coefs: list):
+    def __init__(self, lp: LinearProgram):
         n = lp.num_vars
+        if len(lp.rows) != len(lp.rhs):
+            raise ValueError(f"{len(lp.rows)} rows but {len(lp.rhs)} rhs entries")
+        if len(lp.lower) != n:
+            raise ValueError(f"{len(lp.lower)} lower bounds vs {n} variables")
+        if not (all(map(math.isfinite, lp.lower)) and min(lp.lower, default=0.0) >= 0):
+            for j, lo in enumerate(lp.lower):
+                if lo < 0:
+                    raise ValueError(f"variable {j}: lower bound {lo} is negative")
+                if not math.isfinite(lo):
+                    raise ValueError(f"variable {j}: lower bound must be finite")
+        if not all(map(math.isfinite, lp.objective)):
+            raise ValueError("objective coefficients must be finite")
+        if not all(map(math.isfinite, lp.rhs)):
+            raise ValueError("rhs entries must be finite")
+        columns = [j for row in lp.rows for j, _ in row]
+        coefs = [coef for row in lp.rows for _, coef in row]
+        if not (set(map(type, columns)) <= {int} and min(columns, default=0) >= 0
+                and max(columns, default=-1) < n and all(map(math.isfinite, coefs))):
+            for i, row in enumerate(lp.rows):
+                for j, coef in row:
+                    # bool is an int subclass, but True is not a column
+                    if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+                        raise ValueError(f"row {i}: variable index {j!r} is not an integer")
+                    if not 0 <= j < n:
+                        raise ValueError(f"row {i}: variable index {j} outside 0..{n - 1}")
+                    if not math.isfinite(coef):
+                        raise ValueError(f"row {i}: coefficient for variable {j} must be finite")
+
+        self.source = (lp.objective, lp.rows, lp.rhs, lp.lower)
         lower = np.array(lp.lower, dtype=float)
         sizes = [len(row) for row in lp.rows]
         a = np.zeros((len(sizes), n))
@@ -151,19 +167,59 @@ class _Tableau:
         b = np.array(lp.rhs, dtype=float) - a @ lower
         live = np.max(np.abs(a), axis=1, initial=0.0) > PIVOT_TOL
         # a dropped row reads 0 = b, unsatisfiable when b is nonzero
-        self.status_flag = INFEASIBLE if np.any(np.abs(b[~live]) > TOL) else None
+        self.infeasible = bool(np.any(np.abs(b[~live]) > TOL))
         a, b = a[live], b[live]
         flip = b < 0
         a[flip], b[flip] = -a[flip], -b[flip]
+        # phase-1 prices: maximise -(sum of artificials) == sum of rows
+        self.T, self.b, self.d = a, b, a.sum(axis=0)
+        self.lower, self.c = lower, np.array(lp.objective, dtype=float)
+        for array in (self.T, self.b, self.d, self.lower, self.c):
+            array.flags.writeable = False
 
-        self.m, self.n = len(b), n
-        self.T, self.values = a, b
-        width = np.array(lp.upper, dtype=float) - lower
+    def built_from(self, lp: LinearProgram) -> bool:
+        """Whether these rows were compiled from lp's own fields, by identity."""
+        return all(map(operator.is_, self.source, (lp.objective, lp.rows, lp.rhs, lp.lower)))
+
+
+class _Tableau:
+    """Bounded-variable simplex state.
+
+    `T` holds one row per surviving constraint over the structural columns
+    0..n-1 only, shifted so lower bounds are 0. It, `values` and `d` start
+    as copies of the program's compiled rows (_Rows), built once per
+    program's rows; only `width` and `sign` are built from upper. Row i
+    starts with its own artificial basic, numbered n + i in `basis`; no
+    artificial has a column, because an artificial never enters: it is not
+    at a bound while basic, and once it leaves it is gone. So its column
+    would only be updated, never read. `values` holds the current value of each row's basic
+    variable. A nonbasic variable sits at 0 or at its width `width[j]`, a
+    list of Python floats read one entry at a time by the ratio test.
+    `sign[j]` is the direction variable j may enter in: +1 at 0 when its
+    width exceeds PIVOT_TOL, -1 at its width, and 0 when basic or fixed at
+    0, so column j prices in when d[j] * sign[j] > TOL. `d` is the one price
+    row: the phase-1 prices until solve_lp replaces it with the phase-2
+    prices. Each pivot of step() updates it; drive_out_artificials() leaves
+    it stale, since nothing reads it before solve_lp reprices. Phase 1 runs
+    only until feasible() holds, the test that also proves a phase-1 optimum
+    infeasible.
+
+    step() and pivot() skip each update that would only subtract zeros. That
+    can leave a zero entry of T, d or values with the other sign than a
+    dense update would give it, and nothing more: no comparison reads the
+    sign of a zero, so the pivots are those of the dense updates.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        rows = _checked_rows(lp)
+        self.status_flag = INFEASIBLE if rows.infeasible else None
+        self.m, self.n = rows.T.shape
+        self.T, self.values, self.d = rows.T.copy(), rows.b.copy(), rows.d.copy()
+        self.lower, self.c = rows.lower, rows.c
+        width = np.array(lp.upper, dtype=float) - rows.lower
         self.width = width.tolist()
         self.sign = (width > PIVOT_TOL).astype(float)  # everything starts at 0
-        self.basis = list(range(n, n + self.m))
-        # phase-1 prices: maximise -(sum of artificials) == sum of rows
-        self.d = self.T.sum(axis=0)
+        self.basis = list(range(self.n, self.n + self.m))
         self.iterations = 0
         self.degenerate_run = 0
         self.bland = False
@@ -245,6 +301,15 @@ class _Tableau:
         self.sign[j] = 0.0
         return old
 
+    def feasible(self) -> bool:
+        """Whether the artificials' residual is within tolerance.
+
+        Phase 1 ends as soon as it is, and a phase-1 optimum where it is not
+        proves the program infeasible: one test for both.
+        """
+        residual = sum(v for v, b in zip(self.values.tolist(), self.basis) if b >= self.n)
+        return not residual > TOL * max(1.0, float(np.max(np.abs(self.values), initial=0.0)))
+
     def drive_out_artificials(self) -> None:
         """After phase 1: pivot basic artificials out or drop redundant rows."""
         keep = []
@@ -269,34 +334,40 @@ class _Tableau:
 def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution:
     """Solve an LP; returns status optimal, infeasible, or unbounded.
 
-    Deterministic: identical inputs produce identical outputs bit for bit.
+    max_iterations caps the pivots and bound flips, None for the default
+    cap. Deterministic: identical inputs produce identical outputs bit for
+    bit.
     """
-    tab = _Tableau(lp, *_checked_entries(lp))
+    if max_iterations is not None and (
+            # bool is an Integral, but True is no cap
+            not isinstance(max_iterations, numbers.Integral) or isinstance(max_iterations, bool)
+            or max_iterations < 0):
+        raise ValueError(f"max_iterations must be a nonnegative integer, got {max_iterations!r}")
+    tab = _Tableau(lp)
     if tab.status_flag == INFEASIBLE:
         return LpSolution(INFEASIBLE, None, None, 0)
     cap = 2000 + 200 * (tab.n + tab.m) if max_iterations is None else max_iterations
 
-    c = np.array(lp.objective, dtype=float)
+    c = tab.c
     for phase in (1, 2):
-        while True:
+        while phase == 2 or not tab.feasible():
             if tab.iterations > cap:
                 raise RuntimeError(f"simplex failed to converge within {cap} iterations")
             j = tab.entering()
             if j is None:
+                if phase == 1:  # a phase-1 optimum that is not feasible
+                    return LpSolution(INFEASIBLE, None, None, tab.iterations)
                 break
             if tab.step(j) == UNBOUNDED:
                 if phase == 1:  # phase-1 objective is bounded; cannot happen
                     raise RuntimeError("phase-1 step reported unbounded")
                 return LpSolution(UNBOUNDED, None, None, tab.iterations)
         if phase == 1:
-            residual = sum(v for v, b in zip(tab.values.tolist(), tab.basis) if b >= tab.n)
-            if residual > TOL * max(1.0, float(np.max(np.abs(tab.values), initial=0.0))):
-                return LpSolution(INFEASIBLE, None, None, tab.iterations)
             tab.drive_out_artificials()
             tab.d = c - c[tab.basis] @ tab.T  # every basic column is structural now
 
     x = np.where(tab.sign < 0, tab.width, 0.0)
     x[tab.basis] = tab.values
-    x += np.array(lp.lower)
+    x += tab.lower
     objective = float(np.dot(c, x))
     return LpSolution(OPTIMAL, objective, tuple(x.tolist()), tab.iterations)

@@ -7,10 +7,14 @@ the rational side. Agreement on random programs is therefore meaningful.
 
 import math
 import random
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from plantflow import datasets
+from plantflow.flow import apply_scenario, build_flow_lp
 from plantflow.lp import (
     INFEASIBLE,
     OPTIMAL,
@@ -19,10 +23,21 @@ from plantflow.lp import (
     check_structure,
     solve_lp,
 )
+from plantflow.model import MODES, STATION_THROUGHPUT
 from lp_exact import solve_lp_exact
 
 INF = math.inf
 NAN = math.nan
+
+
+def plant_program(name="didactic", mode=STATION_THROUGHPUT, assignment=None) -> LinearProgram:
+    """A built-in's flow program; it carries the rows compiled for its plant."""
+    doc = datasets.builtin(name)
+    net, model = doc.network, doc.model
+    return build_flow_lp(net, apply_scenario(net, model, assignment or model.all_up(), mode))
+
+
+PLANT = plant_program()
 
 
 def lp(obj, rows, rhs, lower, upper):
@@ -154,11 +169,55 @@ def test_solution_respects_rows_and_bounds():
     pytest.param(lp([1.0, 1.0, 1.0], [((0, 1.0), (1, 2.0)), ((1, 1.0),), ((2, 1.0), (1, NAN))],
                     [0.0, 0.0, 0.0], [0.0] * 3, [1.0] * 3),
                  r"^row 2: coefficient for variable 1 must be finite$", id="nan-coefficient-later-row"),
+    # a program with compiled rows has its upper bounds checked on every solve
+    pytest.param(replace(PLANT, upper=(1.0, NAN, *PLANT.upper[2:])),
+                 r"^variable 1: upper bound is NaN$", id="compiled-nan-upper"),
+    pytest.param(replace(PLANT, upper=(1.0, 1.0, -1.0, *PLANT.upper[3:])),
+                 r"^variable 2: upper bound -1\.0 below lower bound 0\.0$", id="compiled-upper-below-lower"),
+    pytest.param(replace(PLANT, upper=(*PLANT.upper, 1.0)),
+                 rf"^bounds length mismatch: {PLANT.num_vars}/{PLANT.num_vars + 1} "
+                 rf"vs {PLANT.num_vars} variables$", id="compiled-upper-length"),
 ])
 def test_check_structure_rejects(program, message):
     for check in (check_structure, solve_lp):
         with pytest.raises(ValueError, match=message):
             check(program)
+
+
+def test_compiled_rows_solve_like_rows_built_afresh():
+    def fresh(p):
+        return LinearProgram(p.objective, p.rows, p.rhs, p.lower, p.upper)
+
+    def same(a, b):
+        hexed = lambda s: [v.hex() if isinstance(v, float) else v
+                           for v in (s.status, s.objective_value, *(s.x or ()), s.iterations)]
+        assert hexed(a) == hexed(b)
+
+    assert PLANT.compiled is not None and fresh(PLANT).compiled is None
+    rnd = random.Random(7)
+    for name in datasets.BUILTINS:
+        model = datasets.builtin(name).model
+        for mode in MODES:
+            for rate in (0.0, 0.1, 0.2, 0.3):
+                for _ in range(3):
+                    states = {rv.rv_id: int(rnd.random() >= rate) for rv in model.rvs}
+                    p = plant_program(name, mode, states)
+                    same(solve_lp(p), solve_lp(fresh(p)))
+    # rows compiled for other fields are not used: each stale program solves
+    # like the same fields without compiled rows
+    u, last = PLANT.num_vars - 1, len(PLANT.rows) - 1
+    stale = [
+        # the delivery row now reads delivery = 2u
+        replace(PLANT, rows=(*PLANT.rows[:last],
+                             tuple((j, 2.0 * a if j == u else a) for j, a in PLANT.rows[last]))),
+        replace(PLANT, rhs=(1.0, *PLANT.rhs[1:])),
+        replace(PLANT, lower=(0.5, *PLANT.lower[1:])),
+        replace(PLANT, objective=(1.0, *PLANT.objective[1:])),
+    ]
+    for p in stale:
+        assert p.compiled is PLANT.compiled
+        same(solve_lp(p), solve_lp(fresh(p)))
+        assert solve_lp(p) != solve_lp(PLANT)
 
 
 def test_check_structure_accepts_numpy_integer_columns():
@@ -184,6 +243,20 @@ def test_iteration_cap_of_zero_raises():
     assert solve_lp(p).iterations > 0
     with pytest.raises(RuntimeError, match="within 0 iterations"):
         solve_lp(p, max_iterations=0)
+
+
+@pytest.mark.parametrize("cap", [-1, True, False, 2.5, "3", np.float64(4.0)])
+def test_iteration_cap_must_be_a_nonnegative_integer(cap):
+    # refused before solving, even where no pivot is needed
+    p = lp([1.0], [], [], [0.0], [1.0])
+    with pytest.raises(ValueError, match=f"^max_iterations must be a nonnegative integer, "
+                                         f"got {re.escape(repr(cap))}$"):
+        solve_lp(p, max_iterations=cap)
+
+
+def test_iteration_cap_accepts_numpy_integers():
+    p = lp([1.0, 0.0], [((0, 1.0), (1, 1.0))], [1.0], [0.0, 0.0], [1.0, 1.0])
+    assert solve_lp(p, max_iterations=np.int64(50)) == solve_lp(p)
 
 
 def random_program(rnd: random.Random) -> LinearProgram:

@@ -14,6 +14,10 @@ every objective value survives.
 Regenerate (only when a change of output is intended) with
 
     PYTHONPATH=src python tests/test_lp_golden.py
+
+which first prints each entry that differs from the committed file, with
+its network, mode and statuses old -> new, so a regeneration shows its
+scope.
 """
 
 import hashlib
@@ -114,6 +118,35 @@ def test_lp_results_match_golden():
     assert render() == GOLDEN.read_text()
 
 
+def changed_entries(old: list, new: list) -> list[str]:
+    """One line per entry of new that old lacks or holds otherwise: its
+    network, mode and statuses, old -> new."""
+    before = {(doc["network"], doc["mode"]): doc for doc in old}
+    lines = []
+    for doc in new:
+        was = before.get((doc["network"], doc["mode"]))
+        if was != doc:
+            statuses = "absent" if was is None else was["statuses"]
+            lines.append(f"{doc['network']} {doc['mode']}: {statuses} -> {doc['statuses']}")
+    return lines
+
+
+def test_changed_entries_name_each_changed_entry():
+    old = [{"network": "a", "mode": "m", "statuses": {"optimal": 2}, "sha256": "x"},
+           {"network": "b", "mode": "m", "statuses": {"optimal": 2}, "sha256": "y"}]
+    new = [old[0], {**old[1], "statuses": {"optimal": 1, "infeasible": 1}, "sha256": "z"},
+           {"network": "c", "mode": "m", "statuses": {}, "sha256": "w"}]
+    assert changed_entries(old, old) == []
+    assert changed_entries(old, new) == [
+        "b m: {'optimal': 2} -> {'optimal': 1, 'infeasible': 1}", "c m: absent -> {}"]
+
+
 if __name__ == "__main__":
+    text = render()
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+    changed = changed_entries(old, json.loads(text))
+    print(f"{len(changed)} entries differ from {GOLDEN.name}")
+    for line in changed:
+        print("  " + line)
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(render())
+    GOLDEN.write_text(text)
