@@ -93,7 +93,7 @@ def build_flow_lp(net: PlantNetwork, caps: EffectiveCapacities) -> LinearProgram
 
 
 def _lp_skeleton(net: PlantNetwork) -> LinearProgram:
-    """The network's flow LP without its upper bounds (upper is empty)."""
+    """The network's flow LP with every upper bound at math.inf."""
     m = len(net.edges)
     n_vars = m + len(net.station_stage) + 1
     u = n_vars - 1
@@ -121,7 +121,7 @@ def _lp_skeleton(net: PlantNetwork) -> LinearProgram:
     rows = [tuple(terms) for _, terms in sorted(balance.items())]
     rows += [(*intake, (u, -1.0)), (*delivery, (u, -1.0))]
     return LinearProgram(objective=tuple(objective), rows=tuple(rows), rhs=(0.0,) * len(rows),
-                         lower=(0.0,) * n_vars, upper=())
+                         lower=(0.0,) * n_vars, upper=(math.inf,) * n_vars)
 
 
 # ---------------------------------------------------------------------------

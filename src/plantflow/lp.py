@@ -12,15 +12,16 @@ row is nonzero in the entering column and whose column is nonzero in the
 pivot row. Everything in the starting tableau but the upper bounds is
 compiled once per program's rows (compile_rows), and each solve copies it:
 the flow programs of one plant share their rows and differ only in upper.
-One feasibility test on the artificials both ends phase 1, as soon as it
-passes, and decides infeasibility at a phase-1 optimum; a program whose rhs
-is already met at the lower bounds, as every flow program's is, makes no
-phase-1 pivot. One price row serves both phases: the row sums in phase 1,
-then c - c_B T, priced once the artificials are out. Each column carries a
-sign, the direction it may move in: +1 at its lower bound, -1 at its upper
-bound, 0 when basic or fixed. So pricing is one product of prices and signs
-and one argmax, with Dantzig's rule, switched for good to Bland's after a
-run of degenerate pivots, which guarantees termination. The ratio test reads
+Phase 1 ends as soon as every basic artificial is exactly 0, so a program
+whose rhs is met exactly at the lower bounds, as every flow program's is,
+makes no phase-1 pivot; otherwise it runs to its optimum, where a residual
+above tolerance proves the program infeasible. One price row serves both
+phases: the row sums in phase 1, then c - c_B T, priced once the
+artificials are out. Each column carries a sign, the direction it may move
+in: +1 at its lower bound, -1 at its upper bound, 0 when basic or fixed.
+So pricing is one product of prices and signs and one argmax, with
+Dantzig's rule, switched for good to Bland's after a run of degenerate
+pivots, which guarantees termination. The ratio test reads
 only the rows above the pivot tolerance, which on the plant programs here is
 a few rows in a hundred, and runs over them as Python floats: at that size a
 numpy call costs more than the arithmetic it does. There is no external
@@ -87,7 +88,7 @@ def compile_rows(lp: LinearProgram) -> LinearProgram:
     checking or building them again; one with any other field replaced
     builds its own.
     """
-    return replace(lp, compiled=_Rows(lp))
+    return replace(lp, compiled=_checked_rows(lp))
 
 
 def _checked_rows(lp: LinearProgram) -> _Rows:
@@ -131,8 +132,6 @@ class _Rows:
         n = lp.num_vars
         if len(lp.rows) != len(lp.rhs):
             raise ValueError(f"{len(lp.rows)} rows but {len(lp.rhs)} rhs entries")
-        if len(lp.lower) != n:
-            raise ValueError(f"{len(lp.lower)} lower bounds vs {n} variables")
         if not (all(map(math.isfinite, lp.lower)) and min(lp.lower, default=0.0) >= 0):
             for j, lo in enumerate(lp.lower):
                 if lo < 0:
@@ -201,8 +200,8 @@ class _Tableau:
     row: the phase-1 prices until solve_lp replaces it with the phase-2
     prices. Each pivot of step() updates it; drive_out_artificials() leaves
     it stale, since nothing reads it before solve_lp reprices. Phase 1 runs
-    only until feasible() holds, the test that also proves a phase-1 optimum
-    infeasible.
+    until no basic artificial holds a value (artificials()), or else to its
+    optimum, where feasible() decides whether the program is infeasible.
 
     step() and pivot() skip each update that would only subtract zeros. That
     can leave a zero entry of T, d or values with the other sign than a
@@ -301,13 +300,18 @@ class _Tableau:
         self.sign[j] = 0.0
         return old
 
-    def feasible(self) -> bool:
-        """Whether the artificials' residual is within tolerance.
+    def artificials(self) -> list[float]:
+        """The values of the basic artificials, in row order."""
+        return [v for v, b in zip(self.values.tolist(), self.basis) if b >= self.n]
 
-        Phase 1 ends as soon as it is, and a phase-1 optimum where it is not
-        proves the program infeasible: one test for both.
+    def feasible(self) -> bool:
+        """At a phase-1 optimum: whether the artificials' residual is within tolerance.
+
+        Phase 1 must not stop on this test alone: an artificial left basic
+        at a small nonzero value is pivoted out by drive_out_artificials(),
+        which drops that value instead of carrying it into the other rows.
         """
-        residual = sum(v for v, b in zip(self.values.tolist(), self.basis) if b >= self.n)
+        residual = sum(self.artificials())
         return not residual > TOL * max(1.0, float(np.max(np.abs(self.values), initial=0.0)))
 
     def drive_out_artificials(self) -> None:
@@ -350,19 +354,20 @@ def solve_lp(lp: LinearProgram, max_iterations: int | None = None) -> LpSolution
 
     c = tab.c
     for phase in (1, 2):
-        while phase == 2 or not tab.feasible():
+        # phase 1 stops early only once no artificial holds any value at all
+        while phase == 2 or any(tab.artificials()):
             if tab.iterations > cap:
                 raise RuntimeError(f"simplex failed to converge within {cap} iterations")
             j = tab.entering()
             if j is None:
-                if phase == 1:  # a phase-1 optimum that is not feasible
-                    return LpSolution(INFEASIBLE, None, None, tab.iterations)
                 break
             if tab.step(j) == UNBOUNDED:
                 if phase == 1:  # phase-1 objective is bounded; cannot happen
                     raise RuntimeError("phase-1 step reported unbounded")
                 return LpSolution(UNBOUNDED, None, None, tab.iterations)
         if phase == 1:
+            if not tab.feasible():
+                return LpSolution(INFEASIBLE, None, None, tab.iterations)
             tab.drive_out_artificials()
             tab.d = c - c[tab.basis] @ tab.T  # every basic column is structural now
 

@@ -290,3 +290,15 @@ def test_float_simplex_matches_exact_rational():
                 slow.objective_value, abs=1e-9)
     # the sample must actually exercise every outcome
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+@pytest.mark.parametrize("big, tiny", [(1e6, 1e-4), (1e3, 1e-7)])
+def test_small_rhs_next_to_a_large_one_survives_phase_1(big, tiny):
+    # x0 = big, x1 = tiny: after the first phase-1 pivot the residual, tiny,
+    # is within the relative tolerance; stopping phase 1 there would let the
+    # drive-out put x1 in at 0 and report objective 0
+    p = lp([0.0, 1.0], [[(0, 1.0)], [(1, 1.0)]], [big, tiny], [0.0, 0.0], [INF, INF])
+    fast, slow = solve_lp(p), solve_lp_exact(p)
+    assert fast.status == slow.status == OPTIMAL
+    assert fast.objective_value == pytest.approx(slow.objective_value, abs=1e-12)
+    assert fast.x == pytest.approx(slow.x, abs=1e-12)
