@@ -34,7 +34,7 @@ from . import dinic
 from .errors import PlantDataError
 from .lp import OPTIMAL, LinearProgram, compile_rows, solve_lp
 from .model import (
-    EDGE_MIN,
+    EDGE_MAX,
     STATION_THROUGHPUT,
     ComponentModel,
     PlantNetwork,
@@ -132,22 +132,25 @@ def _lp_skeleton(net: PlantNetwork) -> LinearProgram:
 class LayeredGraph:
     """The layered max-flow graph of one (network, model, mode): built once, shared, read-only.
 
-    Arcs are the network's edges in listing order, then one source, bridge or
-    sink arc per station in stage order. arc_rv[a] is the RV whose failure
-    zeroes arc a, or -1 when no RV owns it. In the edge-min and edge-max modes
-    each edge's bound also folds in its end-node capacities, end_caps[0]
-    (tail) and end_caps[1] (head), owned by end_rvs; the station arcs then
-    get a capacity larger than any achievable flow, standing in for
-    "unbounded" without infinities. Arc a runs tails[a] -> heads[a], and
-    topology compiles those arcs for Dinic: source arcs leave topology.source,
-    sink arcs enter topology.sink, and bridges follow the edges. num_rvs is
-    the length of the model's state vectors.
+    Arcs are the network's edges in listing order (num_edges of them), then
+    one source, bridge or sink arc per station in stage order. Arc a runs
+    tails[a] -> heads[a], and topology compiles those arcs for Dinic: source
+    arcs leave topology.source, sink arcs enter topology.sink, and bridges
+    follow the edges. num_rvs is the length of the model's state vectors.
 
-    Every finite float is an integer times a power of two, so nominal and
-    end_caps hold whole numbers of 2**-shift units, with shift the smallest
-    that makes every capacity of the graph whole: int64 when every count
-    fits, Python ints in object arrays otherwise. Dinic receives them as
-    Python ints, so its arithmetic is exact.
+    An arc's capacity folds its terms by fold. Term k of arc a, at index
+    k * len(tails) + a, is a capacity in terms, zeroed when its RV in owners
+    fails (-1: no RV). Station-throughput gives each arc one term, its own.
+    Edge-min (fold np.minimum) and edge-max (np.maximum) give each edge its
+    own, its tail's and its head's, and each station arc terms owned by no
+    RV that stand in for "unbounded": one unit more than the sum, over the
+    edges, of each edge's largest term.
+
+    Every finite float is an integer times a power of two, so terms holds
+    whole numbers of 2**-shift units, with shift the smallest that makes
+    every edge and node capacity whole: int64 when every count fits, Python
+    ints in an object array otherwise. Dinic receives them as Python ints,
+    so its arithmetic is exact.
     """
 
     topology: dinic.Topology
@@ -155,15 +158,15 @@ class LayeredGraph:
     heads: np.ndarray
     mode: str
     shift: int
-    nominal: np.ndarray
-    arc_rv: np.ndarray
+    terms: np.ndarray
+    owners: np.ndarray
+    fold: np.ufunc
     refs: tuple[int | str, ...]  # edge id for edge arcs, station node otherwise
-    end_caps: np.ndarray
-    end_rvs: np.ndarray
+    num_edges: int
     num_rvs: int
 
     def __post_init__(self):
-        for a in (self.tails, self.heads, self.nominal, self.arc_rv, self.end_caps, self.end_rvs):
+        for a in (self.tails, self.heads, self.terms, self.owners):
             a.flags.writeable = False
 
     def capacities(self, states) -> np.ndarray:
@@ -173,20 +176,17 @@ class LayeredGraph:
         if states.shape != (self.num_rvs,) or (
                 states.dtype != bool and not ((states == 0) | (states == 1)).all()):
             raise PlantDataError(f"a state vector holds {self.num_rvs} entries, each 0 or 1")
-        ext = np.ones(self.num_rvs + 1, dtype=np.int64)  # ext[-1] = 1 serves arcs no RV owns
+        ext = np.ones(self.num_rvs + 1, dtype=np.int64)  # ext[-1] = 1 serves terms no RV owns
         ext[:-1] = states
-        caps = self.nominal * ext[self.arc_rv]
-        if self.mode != STATION_THROUGHPUT:
-            fold = np.minimum if self.mode == EDGE_MIN else np.maximum
-            ends = self.end_caps * ext[self.end_rvs]
-            m = ends.shape[1]
-            caps[:m] = fold(caps[:m], fold(ends[0], ends[1]))
+        caps = self.terms * ext[self.owners]
+        if len(caps) > len(self.tails):  # more terms than arcs: fold each arc's terms
+            caps = self.fold.reduce(caps.reshape(-1, len(self.tails)))
         return caps
 
     def _readout(self, counts) -> tuple[dict[str, float], dict[int, float]]:
         """Arc-ordered counts of 2**-shift units as floats keyed by edge id and by station
         node; the counts are Python ints, so each division rounds once."""
-        unit, m = 2 ** self.shift, self.end_rvs.shape[1]
+        unit, m = 2 ** self.shift, self.num_edges
         values = [c / unit for c in counts]
         return dict(zip(self.refs[:m], values[:m])), dict(zip(self.refs[m:], values[m:]))
 
@@ -204,13 +204,8 @@ class LayeredGraph:
 
     def reads(self) -> np.ndarray:
         """reads[a, j]: capacities(states)[a] depends on states[j]."""
-        out = np.zeros((self.nominal.size, self.num_rvs + 1), dtype=bool)  # column -1: no RV
-        arcs = np.arange(self.nominal.size)
-        out[arcs, self.arc_rv] = True
-        if self.mode != STATION_THROUGHPUT:
-            m = self.end_rvs.shape[1]
-            out[arcs[:m], self.end_rvs[0]] = True
-            out[arcs[:m], self.end_rvs[1]] = True
+        out = np.zeros((self.tails.size, self.num_rvs + 1), dtype=bool)  # column -1: no RV
+        out[np.arange(self.owners.size) % self.tails.size, self.owners] = True
         return out[:, :-1]
 
 
@@ -251,37 +246,42 @@ def build_layered_graph(
     node_cap = {v: net.resolved_node_capacity(v) for v in index}
     tails = [vertex(e.tail, e.stage) for e in edges]
     heads = [vertex(e.head, e.stage) for e in edges]
-    nominal = [e.capacity for e in edges]
-    arc_rv = [owner.get(e.edge_id, -1) for e in edges]
     refs: list[int | str] = [e.edge_id for e in edges]
-    end_caps = [[node_cap[e.tail] for e in edges], [node_cap[e.head] for e in edges]]
-    end_rvs = np.array([[owner.get(e.tail, -1) for e in edges],
-                        [owner.get(e.head, -1) for e in edges]], dtype=np.int64)
-
-    bound_stations = mode == STATION_THROUGHPUT
-    huge = 1.0 + float(np.sum(np.maximum(nominal, np.maximum(end_caps[0], end_caps[1]))))
     last = net.num_stages
     for stage, members in enumerate(net.stations, start=1):
         for s in members:
             tails.append(source if stage == 1 else vertex(s, stage - 1))
             heads.append(sink if stage == last else vertex(s, stage))
             refs.append(s)
-            nominal.append(node_cap[s] if bound_stations else huge)
-            arc_rv.append(owner.get(s, -1) if bound_stations else -1)
 
     # every denominator is a power of 2
-    ratios = {c: float(c).as_integer_ratio() for c in {*nominal, *node_cap.values()}}
+    ratios = {c: float(c).as_integer_ratio() for c in {*(e.capacity for e in edges),
+                                                        *node_cap.values()}}
     shift = max(den.bit_length() - 1 for _, den in ratios.values())
     units = {c: num << (shift - den.bit_length() + 1) for c, (num, den) in ratios.items()}
+
+    def term(asset: int | str, cap: float) -> tuple[int, int]:
+        return units[cap], owner.get(asset, -1)
+
+    # one row per term, each over every arc
+    rows = [[term(e.edge_id, e.capacity) for e in edges]]
+    if mode == STATION_THROUGHPUT:
+        rows[0] += [term(s, node_cap[s]) for s in refs[len(edges):]]
+    else:
+        rows += [[term(e.tail, node_cap[e.tail]) for e in edges],
+                 [term(e.head, node_cap[e.head]) for e in edges]]
+        # more than any flow, since every unit of flow crosses an edge
+        unbounded = 1 + sum(max(cap for cap, _ in arc) for arc in zip(*rows))
+        rows = [row + [(unbounded, -1)] * (len(refs) - len(edges)) for row in rows]
+    caps, rvs = zip(*(t for row in rows for t in row))
     # int64 folds fastest; Python ints (object) hold any larger count exactly
-    dtype = np.int64 if max(units.values()) < 2 ** 63 else object
+    dtype = np.int64 if max(caps) < 2 ** 63 else object
     graph = LayeredGraph(
         topology=dinic.build_topology(layers * n + 2, source, sink, tails, heads),
-        tails=np.array(tails), heads=np.array(heads), mode=mode,
-        shift=shift, nominal=np.array([units[c] for c in nominal], dtype=dtype),
-        arc_rv=np.array(arc_rv, dtype=np.int64), refs=tuple(refs),
-        end_caps=np.array([[units[c] for c in row] for row in end_caps], dtype=dtype),
-        end_rvs=end_rvs, num_rvs=len(model))
+        tails=np.array(tails), heads=np.array(heads), mode=mode, shift=shift,
+        terms=np.array(caps, dtype=dtype), owners=np.array(rvs, dtype=np.int64),
+        fold=np.maximum if mode == EDGE_MAX else np.minimum,
+        refs=tuple(refs), num_edges=len(edges), num_rvs=len(model))
     net._compiled[mode] = (model, graph)
     return graph
 
@@ -401,10 +401,12 @@ class SystemFunction:
     updates and lets Dinic stop at the target; the lp backend re-solves the
     program each call and exists as a slow cross-check.
 
-    The maxflow verdict compares exact integers: Dinic's flow in units of
-    2**-graph.shift against cutoff, the least such integer >= target. Values
-    that leave this class (flow_value, arc_profile) are the nearest floats.
-    decide() gives the same verdict plus the set of RVs that proves it.
+    The maxflow verdict compares exact integers, Dinic's flow in units of
+    2**-graph.shift against cutoff, the least such integer >= target; its
+    values that leave this class (flow_value, arc_profile) are the nearest
+    floats. The lp verdict compares the float optimum with target instead,
+    so edges 0.1 and 0.2 reach target 0.1 + 0.2 under lp, not maxflow.
+    decide() gives the maxflow verdict plus the set of RVs that proves it.
     """
 
     def __init__(
@@ -458,9 +460,8 @@ class SystemFunction:
         failed components: the arcs entering the sink side or, on a tie, the
         arcs leaving the source side. Either is a cut set, whose capacity no
         vector with those RVs down can raise above this flow, so every such
-        vector fails. An arc reads its owning RV and, in the edge-min and
-        edge-max modes, the RVs of its end nodes. Both arguments rest on the
-        exact integer arithmetic.
+        vector fails. An arc reads the RVs that own its terms. Both arguments
+        rest on the exact integer arithmetic.
         """
         if self.backend == LP_BACKEND:
             raise PlantDataError("witnesses need the maxflow backend")

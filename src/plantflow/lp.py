@@ -123,42 +123,36 @@ class _Rows:
     the rows that read 0 = 0 dropped and the rows with negative rhs negated,
     their rhs, the phase-1 prices, and the lower bounds and objective as
     arrays. The arrays are read-only; each solve works on copies.
-
-    Each rule is tested over all entries at once, by builtins that loop in C;
-    only when one fails does a per-entry loop run, to name the first offender.
     """
 
     def __init__(self, lp: LinearProgram):
         n = lp.num_vars
         if len(lp.rows) != len(lp.rhs):
             raise ValueError(f"{len(lp.rows)} rows but {len(lp.rhs)} rhs entries")
-        if not (all(map(math.isfinite, lp.lower)) and min(lp.lower, default=0.0) >= 0):
-            for j, lo in enumerate(lp.lower):
-                if lo < 0:
-                    raise ValueError(f"variable {j}: lower bound {lo} is negative")
-                if not math.isfinite(lo):
-                    raise ValueError(f"variable {j}: lower bound must be finite")
+        for j, lo in enumerate(lp.lower):
+            if lo < 0:
+                raise ValueError(f"variable {j}: lower bound {lo} is negative")
+            if not math.isfinite(lo):
+                raise ValueError(f"variable {j}: lower bound must be finite")
         if not all(map(math.isfinite, lp.objective)):
             raise ValueError("objective coefficients must be finite")
         if not all(map(math.isfinite, lp.rhs)):
             raise ValueError("rhs entries must be finite")
-        columns = [j for row in lp.rows for j, _ in row]
-        coefs = [coef for row in lp.rows for _, coef in row]
-        if not (set(map(type, columns)) <= {int} and min(columns, default=0) >= 0
-                and max(columns, default=-1) < n and all(map(math.isfinite, coefs))):
-            for i, row in enumerate(lp.rows):
-                for j, coef in row:
-                    # bool is an int subclass, but True is not a column
-                    if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
-                        raise ValueError(f"row {i}: variable index {j!r} is not an integer")
-                    if not 0 <= j < n:
-                        raise ValueError(f"row {i}: variable index {j} outside 0..{n - 1}")
-                    if not math.isfinite(coef):
-                        raise ValueError(f"row {i}: coefficient for variable {j} must be finite")
+        for i, row in enumerate(lp.rows):
+            for j, coef in row:
+                # bool is an int subclass, but True is not a column
+                if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+                    raise ValueError(f"row {i}: variable index {j!r} is not an integer")
+                if not 0 <= j < n:
+                    raise ValueError(f"row {i}: variable index {j} outside 0..{n - 1}")
+                if not math.isfinite(coef):
+                    raise ValueError(f"row {i}: coefficient for variable {j} must be finite")
 
         self.source = (lp.objective, lp.rows, lp.rhs, lp.lower)
         lower = np.array(lp.lower, dtype=float)
         sizes = [len(row) for row in lp.rows]
+        columns = [j for row in lp.rows for j, _ in row]
+        coefs = [coef for row in lp.rows for _, coef in row]
         a = np.zeros((len(sizes), n))
         at = np.repeat(np.arange(len(sizes)), sizes), np.array(columns, dtype=np.intp)
         # add.at sums a repeated (row, column) entry in listing order, as += would

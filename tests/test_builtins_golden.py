@@ -8,6 +8,9 @@ notices a changed edge, station, capacity or component grouping.
 Regenerate (only when a change of data is intended) with
 
     PYTHONPATH=src python tests/test_builtins_golden.py
+
+which first prints each entry that differs from the committed file, with
+its key and digest prefix, old -> new (tests/golden_diff.py).
 """
 
 import hashlib
@@ -15,6 +18,7 @@ import json
 from pathlib import Path
 
 from plantflow import datasets
+from golden_diff import regenerate
 
 GOLDEN = Path(__file__).with_name("golden") / "builtins.json"
 
@@ -42,5 +46,4 @@ def test_builtin_documents_match_golden():
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(render())
+    regenerate(GOLDEN, render(), lambda doc: doc, lambda digest: digest[:12])

@@ -10,6 +10,9 @@ document is deterministic.
 Regenerate (only when a change of output is intended) with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which first prints each entry that differs from the committed file, with
+its argv and exit code, old -> new (tests/golden_diff.py).
 """
 
 import contextlib
@@ -19,6 +22,7 @@ import tempfile
 from pathlib import Path
 
 from plantflow.cli import main
+from golden_diff import regenerate
 
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
 
@@ -79,5 +83,5 @@ def test_cli_output_matches_golden():
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(render())
+    regenerate(GOLDEN, render(), lambda doc: {" ".join(entry["argv"]): entry for entry in doc},
+               lambda entry: f"exit {entry['code']}")

@@ -156,8 +156,8 @@ def test_layered_graph_arcs_map_back_to_the_network():
     assert g.heads[:m].tolist() == [base + e.head for base, e in zip(layer, net.edges)]
     assert g.refs[m:] == tuple(s for members in net.stations for s in members)
     for a, ref in enumerate(g.refs):
-        if g.arc_rv[a] >= 0:
-            assert ref in doc.model.rvs[g.arc_rv[a]].assets
+        if g.owners[a] >= 0:
+            assert ref in doc.model.rvs[g.owners[a]].assets
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -296,7 +296,7 @@ def test_dinic_call_contract_read_by_the_benchmark_trace(monkeypatch):
     for (_, kwargs, out), cutoff in zip(calls, (fn.cutoff, None, None)):
         assert set(kwargs) == {"caps", "cutoff"}
         assert kwargs["cutoff"] == cutoff
-        assert len(kwargs["caps"]) == fn.graph.nominal.size
+        assert len(kwargs["caps"]) == fn.graph.tails.size
         assert isinstance(out.value, int)
 
 
@@ -525,16 +525,20 @@ def test_every_builtin_has_exact_arithmetic(name):
     for mode in MODES:
         g = compile_system(net, doc.model, doc.defaults.target_flow, mode=mode).graph
         unit = 2 ** g.shift
-        assert g.nominal.dtype == g.end_caps.dtype == np.int64  # every count fits
-        assert [c / unit for c in g.nominal[:m]] == [e.capacity for e in net.edges]
-        assert [c / unit for c in g.end_caps[0]] == \
-            [net.resolved_node_capacity(e.tail) for e in net.edges]
-        assert [c / unit for c in g.end_caps[1]] == \
-            [net.resolved_node_capacity(e.head) for e in net.edges]
-    # the lp backend gives verdicts only, never a witness
+        assert g.terms.dtype == np.int64  # every count fits
+        terms = g.terms.reshape(-1, g.tails.size)
+        assert [c / unit for c in terms[0][:m]] == [e.capacity for e in net.edges]
+        if mode != STATION_THROUGHPUT:  # only the fold modes read the end caps
+            assert [c / unit for c in terms[1][:m]] == \
+                [net.resolved_node_capacity(e.tail) for e in net.edges]
+            assert [c / unit for c in terms[2][:m]] == \
+                [net.resolved_node_capacity(e.head) for e in net.edges]
+    # the lp backend gives verdicts only, never a witness or an arc profile
     slow = compile_system(net, doc.model, doc.defaults.target_flow, backend="lp")
     with pytest.raises(PlantDataError, match="maxflow"):
         slow.decide(np.ones(len(doc.model)))
+    with pytest.raises(PlantDataError, match="maxflow"):
+        slow.arc_profile(np.ones(len(doc.model)))
 
 
 def test_verdict_is_exact_where_float_sums_round():
@@ -550,10 +554,26 @@ def test_verdict_is_exact_where_float_sums_round():
     fn = compile_system(net, model, target=0.1 + 0.2)
     assert fn.flow_value(np.ones(2)) == 0.1 + 0.2
     assert not fn.evaluate(np.ones(2))
+    # the lp backend compares its float optimum, 0.1 + 0.2, so there it survives
+    assert compile_system(net, model, target=0.1 + 0.2, backend="lp").evaluate(np.ones(2))
     up, members = fn.decide(np.ones(2))
     assert up is False  # the empty cut set: nothing survives
     assert members.dtype == bool and members.tolist() == [False, False]
     assert compile_system(net, model, target=0.3).evaluate(np.ones(2))
+
+
+def test_unbounded_station_arcs_exceed_the_exact_edge_sum():
+    # under edge-max the station arcs stand in for "unbounded"; 2**100 + 2**47
+    # + 2**47 rounds to 2**100 as a float sum, so a float stand-in would cap
+    # u* = 2**100 + 2**48 (a float) at 2**100 (the float LP returns 2**100 too)
+    net = PlantNetwork(num_nodes=2, num_stages=2, stations=((1,), (2,)),
+                       node_capacity={1: 1.0, 2: 1.0},
+                       edges=(Edge("a", 1, 2, 1, 2.0 ** 100), Edge("b", 1, 2, 1, 2.0 ** 47),
+                              Edge("c", 1, 2, 1, 2.0 ** 47)))
+    model = ComponentModel(rvs=())
+    exact = 2 ** 100 + 2 ** 48
+    assert max_processable_flow(net, model, mode=EDGE_MAX).value == exact
+    assert compile_system(net, model, exact, mode=EDGE_MAX).evaluate([])
 
 
 def test_tiny_capacity_still_carries_flow():
@@ -604,7 +624,7 @@ def test_reads_cover_every_capacity_dependence(mode):
         g = build_layered_graph(doc.network, doc.model, mode)
         n = len(doc.model)
         reads = g.reads()
-        assert reads.shape == (g.nominal.size, n)
+        assert reads.shape == (g.tails.size, n)
         rnd = random.Random(f"{name}/{mode}")
         for _ in range(20):
             states = np.array([0.0 if rnd.random() < 0.3 else 1.0 for _ in range(n)])
@@ -712,7 +732,7 @@ def test_a_compiled_graph_is_read_only():
     doc = datasets.builtin("gas")
     g = build_layered_graph(doc.network, doc.model)
     assert build_layered_graph(doc.network, doc.model) is g
-    for name in ("tails", "heads", "nominal", "arc_rv", "end_caps", "end_rvs"):
+    for name in ("tails", "heads", "terms", "owners"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(g, name)[0] = 0
 

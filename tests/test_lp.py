@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from plantflow import datasets
+from plantflow import lp as lp_module
 from plantflow.flow import apply_scenario, build_flow_lp
 from plantflow.lp import (
     INFEASIBLE,
@@ -25,6 +26,7 @@ from plantflow.lp import (
 )
 from plantflow.model import MODES, STATION_THROUGHPUT
 from lp_exact import solve_lp_exact
+from test_lp_golden import random_general_program
 
 INF = math.inf
 NAN = math.nan
@@ -289,6 +291,29 @@ def test_float_simplex_matches_exact_rational():
             assert fast.objective_value == pytest.approx(
                 slow.objective_value, abs=1e-9)
     # the sample must actually exercise every outcome
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_blands_rule_from_the_first_pivot_matches_exact_rational(monkeypatch):
+    # the stall guard switches to Bland's rule only after a long degenerate
+    # run, which no other program of the suite reaches; force it from the start
+    real_init = lp_module._Tableau.__init__
+
+    def bland_init(self, program):
+        real_init(self, program)
+        self.bland = True
+
+    monkeypatch.setattr(lp_module._Tableau, "__init__", bland_init)
+    rnd = random.Random(20261021)
+    statuses = set()
+    for make in (random_program, random_general_program):
+        for _ in range(300):
+            p = make(rnd)
+            fast, slow = solve_lp(p), solve_lp_exact(p)
+            assert fast.status == slow.status, p
+            statuses.add(fast.status)
+            if fast.status == OPTIMAL:
+                assert fast.objective_value == pytest.approx(slow.objective_value, abs=1e-9)
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
 

@@ -31,6 +31,7 @@ from plantflow import datasets
 from plantflow.flow import apply_scenario, build_flow_lp
 from plantflow.lp import LinearProgram, solve_lp
 from plantflow.model import MODES
+from golden_diff import by_plant, changed_entries, regenerate
 
 GOLDEN = Path(__file__).with_name("golden") / "lp.json"
 
@@ -118,17 +119,8 @@ def test_lp_results_match_golden():
     assert render() == GOLDEN.read_text()
 
 
-def changed_entries(old: list, new: list) -> list[str]:
-    """One line per entry of new that old lacks or holds otherwise: its
-    network, mode and statuses, old -> new."""
-    before = {(doc["network"], doc["mode"]): doc for doc in old}
-    lines = []
-    for doc in new:
-        was = before.get((doc["network"], doc["mode"]))
-        if was != doc:
-            statuses = "absent" if was is None else was["statuses"]
-            lines.append(f"{doc['network']} {doc['mode']}: {statuses} -> {doc['statuses']}")
-    return lines
+def statuses(entry: dict) -> dict:
+    return entry["statuses"]
 
 
 def test_changed_entries_name_each_changed_entry():
@@ -136,17 +128,13 @@ def test_changed_entries_name_each_changed_entry():
            {"network": "b", "mode": "m", "statuses": {"optimal": 2}, "sha256": "y"}]
     new = [old[0], {**old[1], "statuses": {"optimal": 1, "infeasible": 1}, "sha256": "z"},
            {"network": "c", "mode": "m", "statuses": {}, "sha256": "w"}]
-    assert changed_entries(old, old) == []
-    assert changed_entries(old, new) == [
+    assert changed_entries(by_plant(old), by_plant(old), statuses) == []
+    assert changed_entries(by_plant(old), by_plant(new), statuses) == [
         "b m: {'optimal': 2} -> {'optimal': 1, 'infeasible': 1}", "c m: absent -> {}"]
+    # an entry the new file drops is named too
+    assert changed_entries(by_plant(new), by_plant(old), statuses) == [
+        "b m: {'optimal': 1, 'infeasible': 1} -> {'optimal': 2}", "c m: {} -> absent"]
 
 
 if __name__ == "__main__":
-    text = render()
-    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
-    changed = changed_entries(old, json.loads(text))
-    print(f"{len(changed)} entries differ from {GOLDEN.name}")
-    for line in changed:
-        print("  " + line)
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(text)
+    regenerate(GOLDEN, render(), by_plant, statuses)

@@ -9,6 +9,9 @@ flow value shows up here.
 Regenerate (only when a change of output is intended) with
 
     PYTHONPATH=src python tests/test_maxflow_golden.py
+
+which first prints each entry that differs from the committed file, with
+its network, mode, failure set and u*, old -> new (tests/golden_diff.py).
 """
 
 import contextlib
@@ -19,6 +22,7 @@ from pathlib import Path
 from plantflow import datasets
 from plantflow.cli import main
 from plantflow.model import MODES
+from golden_diff import regenerate
 
 GOLDEN = Path(__file__).with_name("golden") / "maxflow.json"
 
@@ -50,6 +54,10 @@ def test_maxflow_json_matches_golden():
     assert render() == GOLDEN.read_text()
 
 
+def by_scenario(doc: list) -> dict:
+    return {f"{entry['network']} {entry['mode']} failed={','.join(entry['failed'])}": entry
+            for entry in doc}
+
+
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(render())
+    regenerate(GOLDEN, render(), by_scenario, lambda entry: f"u* {entry['u_star']}")

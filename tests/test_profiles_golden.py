@@ -13,6 +13,9 @@ here, including one that flips no verdict.
 Regenerate (only when a change of output is intended) with
 
     PYTHONPATH=src python tests/test_profiles_golden.py
+
+which first prints each entry that differs from the committed file, with
+its network, mode and failure count, old -> new (tests/golden_diff.py).
 """
 
 import hashlib
@@ -30,6 +33,7 @@ from plantflow.reliability import (
     birnbaum_importance,
     estimate_failure_probability,
 )
+from golden_diff import by_plant, regenerate
 
 GOLDEN = Path(__file__).with_name("golden") / "profiles.json"
 
@@ -80,5 +84,4 @@ def test_profiles_match_golden():
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(render())
+    regenerate(GOLDEN, render(), by_plant, lambda entry: f"{entry['failures']} failures")
