@@ -117,6 +117,8 @@ def cmd_maxflow(args) -> int:
     for rv_id in args.fail:
         if rv_id not in assignment:
             raise PlantDataError(f"--fail: unknown component {rv_id!r}")
+        if assignment[rv_id] == 0:
+            raise PlantDataError(f"--fail: component {rv_id!r} given twice")
         assignment[rv_id] = 0
     sol = max_processable_flow(net, model, assignment,
                                mode=_mode(args, doc), backend=args.backend)

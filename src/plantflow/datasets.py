@@ -311,9 +311,14 @@ class _Reader:
         if kind is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise DataFormatError(f"{self.path}.{key}: expected a number, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
+            try:
+                number = float(value)
+            except OverflowError:  # an integer past the float range; its digits may run long
+                raise DataFormatError(f"{self.path}.{key}: expected a finite number, "
+                                      f"got an integer of {len(str(abs(value)))} digits") from None
+            if not math.isfinite(number):
                 raise DataFormatError(f"{self.path}.{key}: expected a finite number, got {value!r}")
-            return float(value)
+            return number
         if kind is int:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise DataFormatError(f"{self.path}.{key}: expected an integer, got {value!r}")
@@ -337,7 +342,7 @@ def parse_text(text: str) -> NetworkDocument:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the int-string limit
         raise DataFormatError(f"not valid JSON: {exc}") from None
 
     top = _Reader(data, "document")

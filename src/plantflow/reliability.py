@@ -52,7 +52,7 @@ import numpy as np
 
 from . import rng
 from .errors import PlantDataError
-from .flow import MAXFLOW_BACKEND, compile_system
+from .flow import MAXFLOW_BACKEND, SystemFunction, compile_system
 from .model import STATION_THROUGHPUT, ComponentModel, PlantNetwork
 
 _STATE_CHUNK = 2048       # samples drawn and settled together
@@ -118,13 +118,11 @@ def _draw(model: ComponentModel, seed: int, lo: int, hi: int) -> np.ndarray:
     whole rows of about _DRAW_BLOCK words, each compared while still in cache."""
     limits = model.fail_limits
     n = len(limits)
-    # one block; one row is a block even when it is wider than _DRAW_BLOCK
-    if hi - lo == 1 or (hi - lo) * n <= _DRAW_BLOCK:
-        return rng.word_block(seed, lo * n, (hi - lo) * n).reshape(hi - lo, n) < limits
-    step = max(_DRAW_BLOCK // n, 1)
+    step = max(_DRAW_BLOCK // max(n, 1), 1)  # one row is a block even when it is wider
     out = np.empty((hi - lo, n), dtype=bool)
     for r0 in range(lo, hi, step):
-        out[r0 - lo:r0 - lo + step] = _draw(model, seed, r0, min(r0 + step, hi))
+        r1 = min(r0 + step, hi)
+        out[r0 - lo:r1 - lo] = rng.word_block(seed, r0 * n, (r1 - r0) * n).reshape(r1 - r0, n) < limits
     return out
 
 
@@ -163,30 +161,34 @@ def _pack(flags: np.ndarray) -> np.ndarray:
     return np.packbits(np.concatenate([flags, pad], -1), axis=-1, bitorder="little").view("<u8")
 
 
-class _Store:
-    """A query's compiled system and the path and cut sets its solves taught.
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """The inverse of _pack: rows of uint64 words as rows of n bool flags."""
+    bits = np.ascontiguousarray(words).view(np.uint8)
+    return np.unpackbits(bits, axis=-1, count=n, bitorder="little").view(bool)
 
-    settle() and flips() take failed-RV flags and give verdicts, True for up.
-    Inside, a set is a packed row; _solve_open() is the one pass that applies
-    sets to open rows. Past _WITNESSES_MAX solves, and on the lp backend,
-    evaluate() decides alone.
+
+class _Store:
+    """A compiled system and the path and cut sets its solves taught.
+
+    settle() and flips() take failed-RV flags packed by _pack and give
+    verdicts, True for up. Inside, a set is a packed row; _solve_open() is
+    the one pass that applies sets to open rows. Past _WITNESSES_MAX solves,
+    and on the lp backend, evaluate() decides alone.
     """
 
-    def __init__(self, net: PlantNetwork, model: ComponentModel, query: ReliabilityQuery):
-        self.sf = compile_system(net, model, query.target_flow,
-                                 mode=query.mode, backend=query.backend)
-        self.n, self.size = len(model), 0
-        room = _WITNESSES_MAX if query.backend == MAXFLOW_BACKEND else 0
+    def __init__(self, sf: SystemFunction):
+        self.sf, self.n, self.size = sf, sf.graph.num_rvs, 0
+        room = _WITNESSES_MAX if sf.backend == MAXFLOW_BACKEND else 0
         self.words = _pack(np.zeros((room, self.n), dtype=bool))
         self.up = np.zeros(room, dtype=bool)  # the verdict each set forces
 
-    def settle(self, down: np.ndarray) -> np.ndarray:
-        """Each row's verdict, solving the rows no learned set decides."""
-        return self._solve_open(_pack(down).T, 0)
+    def settle(self, Fw: np.ndarray) -> np.ndarray:
+        """Each packed row's verdict, solving the rows no learned set decides."""
+        return self._solve_open(Fw.T, 0)
 
-    def flips(self, down: np.ndarray, base: np.ndarray) -> np.ndarray:
-        """Verdict on each row with one RV flipped (rows x RVs), given the rows' own."""
-        Fw, words, up = _pack(down), self.words[:self.size], self.up[:self.size]
+    def flips(self, Fw: np.ndarray, down: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """Verdict on each row with one RV flipped (rows x RVs), given its words, flags and own."""
+        words, up = self.words[:self.size], self.up[:self.size]
         # per (set, row): the failed RVs of a path set, the up RVs of a cut set
         uncounted = np.where(up, np.uint64(0), _ALL)[:, None]
         counts = np.zeros((self.size, len(Fw)), np.int32)
@@ -199,8 +201,7 @@ class _Store:
         zero, common = counts == 0, np.full_like(Fw, _ALL)
         for i, w in enumerate(words.T):
             common[:, i] = np.bitwise_and.reduce(np.where(zero, w[:, None], _ALL), axis=0)
-        outside = np.unpackbits(~common.view(np.uint8), axis=1, count=self.n, bitorder="little")
-        kept = outside.view(bool) | (down == base[:, None])
+        kept = _unpack(~common, self.n) | (down == base[:, None])
         verdict = np.where(kept, base[:, None], np.int8(-1))
         # a count-1 set decides the flip of its one counted RV
         k1, s1 = np.nonzero(counts == 1)
@@ -220,7 +221,7 @@ class _Store:
         verdict, todo = np.empty(failed.shape[1], dtype=bool), np.arange(failed.shape[1])
         while todo.size and k < len(self.up):
             if k == self.size:
-                up, members = self.sf.decide(self._states(failed[:, 0]))
+                up, members = self.sf.decide(~_unpack(failed[:, 0], self.n))
                 self.words[k], self.up[k] = _pack(members), up
                 self.size += 1
             up, words = self.up[k], self.words[k]
@@ -231,17 +232,14 @@ class _Store:
             verdict[todo] = up
             todo, failed = todo[keep], failed.take(keep, axis=1)
         for i, f in zip(todo, failed.T):
-            verdict[i] = self.sf.evaluate(self._states(f))
+            verdict[i] = self.sf.evaluate(~_unpack(f, self.n))
         return verdict
-
-    def _states(self, failed: np.ndarray) -> np.ndarray:
-        bits = np.ascontiguousarray(failed).view(np.uint8)
-        return np.unpackbits(bits, count=self.n, bitorder="little") == 0
 
 
 def _count_failures(net, model, query, lo: int, hi: int) -> int:
-    known = _Store(net, model, query)
-    return sum(int(np.count_nonzero(~known.settle(down)))
+    sf = compile_system(net, model, query.target_flow, mode=query.mode, backend=query.backend)
+    known = _Store(sf)
+    return sum(int(np.count_nonzero(~known.settle(_pack(down))))
                for down in _iter_samples(model, query.seed, lo, hi))
 
 
@@ -260,17 +258,19 @@ def estimate_failure_probability(
 
 def _importance_counts(net, model, query, method: str,
                        lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    known = _Store(net, model, query)
+    sf = compile_system(net, model, query.target_flow, mode=query.mode, backend=query.backend)
+    known = None if method == DIRECT_METHOD else _Store(sf)
     plus, minus = np.zeros((2, len(model)), dtype=np.int64)
     for down in _iter_samples(model, query.seed, lo, hi):
-        if method == DIRECT_METHOD:  # each sample, then each of its single-component flips
+        if known is None:  # each sample, then each of its single-component flips
             flip = np.eye(len(model), dtype=bool)
-            solved = np.array([[known.sf.evaluate(s) for s in np.vstack([~row, ~row ^ flip])]
+            solved = np.array([[sf.evaluate(s) for s in np.vstack([~row, ~row ^ flip])]
                                for row in down], dtype=bool)
             up, flipped = solved[:, 0], solved[:, 1:]
         else:
-            up = known.settle(down)
-            flipped = known.flips(down, up)
+            Fw = _pack(down)
+            up = known.settle(Fw)
+            flipped = known.flips(Fw, down, up)
         # of the two arms of a (sample, component), one is the sample itself
         plus += np.where(down, flipped, up[:, None]).sum(axis=0)
         minus += np.where(down, up[:, None], flipped).sum(axis=0)

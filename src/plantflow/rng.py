@@ -39,18 +39,8 @@ def stream_origin(seed: int) -> int:
     return mix64(seed & _MASK)
 
 
-def uniform_at(seed: int, index: int) -> float:
-    """The index-th uniform in [0, 1) of the stream, as a scalar."""
-    word = mix64((stream_origin(seed) + (index & _MASK) * _GOLDEN) & _MASK)
-    return (word >> 11) * _INV_2_53
-
-
 def uniform_block(seed: int, start: int, count: int) -> np.ndarray:
-    """uniform_at for indices start..start+count-1, vectorised.
-
-    Bit-identical to the scalar path: both use the same integer pipeline,
-    and uint64 arithmetic wraps exactly like the masked Python ints.
-    """
+    """The uniforms in [0, 1) at indices start..start+count-1 of the stream."""
     return word_block(seed, start, count).astype(np.float64) * _INV_2_53
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from plantflow import datasets
 from plantflow.cli import main
+from test_datasets import didactic_with_literal
 
 
 def run(capsys, *argv):
@@ -91,6 +92,26 @@ def test_unknown_component_is_input_error(capsys):
                        "--fail", "bogus")
     assert code == 2
     assert "--fail" in err
+
+
+def test_repeated_failed_component_is_input_error(capsys):
+    code, out, err = run(capsys, "maxflow", "--builtin", "didactic",
+                         "--fail", "n9", "--fail", "n9")
+    assert code == 2 and out == ""
+    assert "--fail: component 'n9' given twice" in err
+
+
+@pytest.mark.parametrize("section, field, literal", [
+    ("edges", "capacity", "1" + "0" * 400),
+    ("defaults", "target_flow", "1" + "0" * 400),
+    ("edges", "capacity", "1" * 5000),
+], ids=["capacity-past-float", "target-past-float", "past-int-string-limit"])
+def test_oversized_number_in_file_is_input_error(tmp_path, capsys, section, field, literal):
+    path = tmp_path / "big.json"
+    path.write_text(didactic_with_literal(section, field, literal))
+    code, _, err = run(capsys, "maxflow", "--file", str(path))
+    assert code == 2
+    assert "Traceback" not in err and literal not in err
 
 
 def test_missing_file_is_input_error(tmp_path, capsys):

@@ -182,6 +182,35 @@ def _didactic_json() -> dict:
     return json.loads(datasets.to_text(datasets.builtin("didactic")))
 
 
+def didactic_with_literal(section: str, field: str, literal: str) -> str:
+    """The didactic document's text with one field's value spelled as literal."""
+    doc = _didactic_json()
+    item = doc[section] if section == "defaults" else next(
+        item for item in doc[section] if field in item)
+    item[field] = "@"
+    return json.dumps(doc).replace('"@"', literal)
+
+
+@pytest.mark.parametrize("section, field", [
+    ("edges", "capacity"), ("nodes", "capacity"),
+    ("components", "p_fail"), ("defaults", "target_flow"),
+])
+def test_parse_rejects_integers_past_the_float_range(section, field):
+    for sign in ("", "-"):
+        text = didactic_with_literal(section, field, sign + "1" + "0" * 400)
+        with pytest.raises(DataFormatError, match=rf"{section}(\[\d+\])?\.{field}: expected a "
+                           r"finite number, got an integer of 401 digits$"):
+            datasets.parse_text(text)
+
+
+def test_parse_rejects_integers_past_the_int_string_limit():
+    # json.loads refuses a literal over Python's 4300-digit limit with a ValueError;
+    # a Python without that limit (before 3.10.7) parses it and the float check refuses it
+    text = didactic_with_literal("edges", "capacity", "1" * 5000)
+    with pytest.raises(DataFormatError, match="not valid JSON|an integer of 5000 digits"):
+        datasets.parse_text(text)
+
+
 # each refusal names the JSON path of the offending field
 @pytest.mark.parametrize("path, value, message", [
     pytest.param(("nodes", 0), 5, r"nodes\[0\]: expected an object, got int", id="not-an-object"),

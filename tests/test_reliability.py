@@ -31,6 +31,7 @@ from plantflow.reliability import (
     sample_assignment,
     sample_states,
 )
+from rng_reference import uniform_at
 
 
 def with_p(doc, p_map, default=0.0):
@@ -123,7 +124,7 @@ def test_threshold_flags_equal_uniforms_below_p(lo):
     # first sample one sits on its limit and stays up, the other fails
     gas = datasets.builtin("gas").model
     n, hi = len(gas) + len(EDGE_PS) + 2, lo + 3000
-    at, above = (rng.uniform_at(21, lo * n + j) for j in (n - 2, n - 1))
+    at, above = (uniform_at(21, lo * n + j) for j in (n - 2, n - 1))
     extra = tuple(RandomVariable(f"edge{k}", p, ()) for k, p in enumerate(EDGE_PS)) + (
         RandomVariable("at", at, ()), RandomVariable("above", math.nextafter(above, 1.0), ()))
     model = ComponentModel(rvs=gas.rvs + extra)
@@ -481,6 +482,31 @@ def test_std_error_formula():
     assert rep.std_error == pytest.approx(math.sqrt(p * (1 - p) / q.samples))
 
 
+@pytest.mark.parametrize("name", datasets.BUILTINS)
+def test_store_settles_packed_rows_like_evaluate(monkeypatch, name):
+    # the store stands on a compiled system alone; its verdicts on packed rows are
+    # evaluate's, with room for every set, for 3, and for none on the lp backend
+    doc = datasets.builtin(name)
+    model = with_p(doc, {}, default=0.05)
+    for mode in MODES:
+        # the all-up flow as target: any loss of throughput fails the row
+        target = max_processable_flow(doc.network, model, model.all_up(), mode=mode).value
+        fn = compile_system(doc.network, model, target, mode=mode)
+        down = reliability._draw(model, 3, 0, 400)
+        expected = [fn.evaluate(~row) for row in down]
+        for room in (reliability._WITNESSES_MAX, 3):
+            monkeypatch.setattr(reliability, "_WITNESSES_MAX", room)
+            store = reliability._Store(fn)
+            # the second call replays the sets the first one taught
+            got = [store.settle(reliability._pack(part)) for part in (down[:250], down[250:])]
+            assert np.concatenate(got).tolist() == expected
+            assert 0 < store.size <= room
+        lp = reliability._Store(compile_system(doc.network, model, target, mode=mode,
+                                               backend="lp"))
+        assert lp.settle(reliability._pack(down[:30])).tolist() == expected[:30]
+        assert lp.size == 0
+
+
 # ---------------------------------------------------------------------------
 # Birnbaum importance
 
@@ -517,7 +543,7 @@ def test_direct_method_solves_each_sample_and_flip_once_and_learns_nothing(monke
     monkeypatch.setattr(SystemFunction, "evaluate", counted)
     monkeypatch.setattr(SystemFunction, "decide", refused)
     monkeypatch.setattr(SystemFunction, "arc_profile", refused)
-    for entry in ("settle", "flips"):
+    for entry in ("__init__", "settle", "flips"):
         monkeypatch.setattr(reliability._Store, entry, refused)
     q = ReliabilityQuery(target_flow=1.0, samples=30, seed=2)
     birnbaum_importance(doc.network, doc.model, q, method=DIRECT_METHOD)

@@ -3,12 +3,13 @@
 import numpy as np
 
 from plantflow import rng
+from rng_reference import uniform_at
 
 
 def test_scalar_vector_bit_identity():
     seed = 42
     block = rng.uniform_block(seed, 1000, 257)
-    scalars = np.array([rng.uniform_at(seed, 1000 + i) for i in range(257)])
+    scalars = np.array([uniform_at(seed, 1000 + i) for i in range(257)])
     assert np.array_equal(block, scalars)
 
 
@@ -50,10 +51,11 @@ def test_large_indices_wrap_safely():
     # index arithmetic is modulo 2^64; nothing overflows near the top
     big = 2**63 + 11
     block = rng.uniform_block(9, big, 4)
-    scalars = np.array([rng.uniform_at(9, big + i) for i in range(4)])
+    scalars = np.array([uniform_at(9, big + i) for i in range(4)])
     assert np.array_equal(block, scalars)
 
 
 def test_negative_seed_normalised():
-    # seeds are taken mod 2^64, so -1 and 2^64-1 agree
-    assert rng.uniform_at(-1, 0) == rng.uniform_at(2**64 - 1, 0)
+    # seeds are taken mod 2^64, so -1 and 2^64-1 agree, in the stream and its reference
+    assert np.array_equal(rng.uniform_block(-1, 0, 4), rng.uniform_block(2**64 - 1, 0, 4))
+    assert rng.uniform_block(-1, 0, 1)[0] == uniform_at(2**64 - 1, 0)
